@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -23,7 +22,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from f8tight import CountKind, Slope, SteinTag, UTTag, classify  # noqa: E402
+from f8tight import CountKind, SteinTag, UTTag, classify, coefficients_between  # noqa: E402
 
 
 @dataclass(frozen=True)
@@ -32,14 +31,6 @@ class SurveyConfig:
     stop: Fraction
     max_denominator: int
     csv_path: Path | None
-
-    def coefficients(self) -> list[Fraction]:
-        found = set()
-        for q in range(1, self.max_denominator + 1):
-            for p in range(math.ceil(self.start * q), math.floor(self.stop * q) + 1):
-                if math.gcd(abs(p), q) == 1:
-                    found.add(Fraction(p, q))
-        return sorted(found)
 
 
 def parse_args(argv: list[str]) -> SurveyConfig:
@@ -56,7 +47,7 @@ def parse_args(argv: list[str]) -> SurveyConfig:
 
 def main(argv: list[str] | None = None) -> int:
     config = parse_args(sys.argv[1:] if argv is None else argv)
-    coefficients = config.coefficients()
+    coefficients = coefficients_between(config.start, config.stop, config.max_denominator)
     if not coefficients:
         print("empty coefficient range", file=sys.stderr)
         return 2
@@ -67,8 +58,8 @@ def main(argv: list[str] | None = None) -> int:
     tag_totals = Counter(ut_yes=0, ut_candidate=0, stein_yes=0, certificates=0)
     rows = []
 
-    for f in coefficients:
-        result = classify(Slope(f.numerator, f.denominator))
+    for r in coefficients:
+        result = classify(r)
         geometries[result.verdict.value] += 1
         kinds[result.count.kind.value] += 1
         if result.count.kind is CountKind.FINITE:

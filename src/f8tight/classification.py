@@ -25,11 +25,10 @@ from .surgery_enum import (
     ChernCertificate,
     Family,
     StabilizationTuple,
-    chain_budgets,
     chern_certificate,
     ding_geiges,
     figure_eight_standard,
-    phi_family_tuples,
+    phi_family_chain,
     positive_surgery_pair,
     stabilization_tuples,
 )
@@ -75,20 +74,18 @@ class TightCount:
 
 @dataclass(frozen=True)
 class ContactStructureCert:
-    """One tight structure: its certificate and fillability tags."""
+    """One tight structure: its certificate and fillability tags.
 
-    family: Family
+    Every classified structure is strongly fillable, so that tag is not
+    stored; the serializers print it as "Yes".
+    """
+
     certificate: ChernCertificate
     stein: SteinTag
-    strong: str
     universally_tight: UTTag
 
     def __post_init__(self) -> None:
-        if self.strong != "Yes":
-            raise ValueError("every classified structure is strongly fillable")
-        if self.family is not self.certificate.family:
-            raise ValueError("certificate family mismatch")
-        if self.family is Family.PSI_STD and self.universally_tight is not UTTag.NO:
+        if self.certificate.family is Family.PSI_STD and self.universally_tight is not UTTag.NO:
             raise ValueError("structures in the PsiStd family are never universally tight")
 
 
@@ -100,7 +97,7 @@ class ClassificationResult:
     structures: tuple[ContactStructureCert, ...]
 
     def __post_init__(self) -> None:
-        f = self.coefficient.as_fraction()
+        f = finite_coefficient(self.coefficient)
         if self.count.kind is CountKind.INFINITE and f not in TOROIDAL_COEFFICIENTS:
             raise ValueError("only 0 and ±4 have infinitely many tight structures")
         if self.count.kind is CountKind.LOWER_BOUND and (in_classified_range(f) or f in TOROIDAL_COEFFICIENTS):
@@ -116,9 +113,28 @@ def in_classified_range(r: Fraction) -> bool:
     return (1 <= r < 4) or r >= 5 or r < -4 or (-3 <= r < 0)
 
 
+def finite_coefficient(r: Slope) -> Fraction:
+    """The value of r, or a domain error naming r if it is ∞."""
+    if r.is_infinity:
+        raise ValueError(f"coefficient {r} is not finite: r-surgery needs a finite r")
+    return r.as_fraction()
+
+
+def coefficients_between(start: Fraction, stop: Fraction, max_denominator: int) -> list[Slope]:
+    """Every slope p/q in [start, stop] with 1 ≤ q ≤ max_denominator, ascending."""
+    if max_denominator < 1:
+        raise ValueError("denominator bound must be positive")
+    seen = set()
+    for q in range(1, max_denominator + 1):
+        for p in range(math.ceil(start * q), math.floor(stop * q) + 1):
+            if math.gcd(abs(p), q) == 1:
+                seen.add(Fraction(p, q))
+    return [Slope(f.numerator, f.denominator) for f in sorted(seen)]
+
+
 def geometry_of(r: Slope) -> Geometry:
     """Geometric type of M(r): toroidal, small Seifert fibered, or hyperbolic."""
-    f = r.as_fraction()
+    f = finite_coefficient(r)
     if f in TOROIDAL_COEFFICIENTS:
         return Geometry.TOROIDAL
     if f.denominator == 1 and abs(f) <= 3:
@@ -133,7 +149,7 @@ def tight_count(r: Slope) -> TightCount:
     infinite at the toroidal coefficients, and otherwise a lower bound
     from the same formulas.
     """
-    f = r.as_fraction()
+    f = finite_coefficient(r)
     if f in TOROIDAL_COEFFICIENTS:
         return TightCount(CountKind.INFINITE)
     formula = 2 * phi(f) if f > 0 else phi(f) + psi(f)
@@ -142,62 +158,60 @@ def tight_count(r: Slope) -> TightCount:
     return TightCount(CountKind.LOWER_BOUND, formula)
 
 
-def _psi_certificates(f: Fraction) -> list[ChernCertificate]:
+# Each builder unrolls its family's chain once and returns the chain's
+# budgets with the certificates, for `universal_tightness_tag`.
+FamilyCertificates = tuple[tuple[int, ...], list[ChernCertificate]]
+
+
+def _psi_certificates(f: Fraction) -> FamilyCertificates:
     """Certificates of the standard-background family, all Ψ(f) of them."""
     chain = ding_geiges(f + 3, figure_eight_standard())
-    return [chern_certificate(Family.PSI_STD, t, 1) for t in stabilization_tuples(chain)]
+    return chain.budgets, [chern_certificate(Family.PSI_STD, t, 1) for t in stabilization_tuples(chain)]
 
 
-def _phi_certificates(f: Fraction) -> list[ChernCertificate]:
+def _phi_certificates(f: Fraction) -> FamilyCertificates:
     """Certificates of the overtwisted-background family, all Φ(f) of them."""
     if f.denominator == 1:
         # The two integral candidate surgeries give isotopic structures, so
         # the family is the single fixed point of the sign involution.
         single = StabilizationTuple((Fraction(0),))
-        return [chern_certificate(Family.PHI_OVERTWISTED, single, abs(int(f)))]
+        return (0,), [chern_certificate(Family.PHI_OVERTWISTED, single, abs(int(f)))]
     n = math.floor(f)
+    chain = phi_family_chain(f, n)
     scale = abs(n)
-    return [chern_certificate(Family.PHI_OVERTWISTED, t, scale) for t in phi_family_tuples(f, n)]
+    return chain.budgets, [
+        chern_certificate(Family.PHI_OVERTWISTED, t, scale) for t in stabilization_tuples(chain)
+    ]
 
 
-def _positive_certificates(f: Fraction) -> list[ChernCertificate]:
+def _positive_certificates(f: Fraction) -> FamilyCertificates:
     """Certificates for positive coefficients: a sign on L′ times the chain on L."""
     l_component, _ = positive_surgery_pair()
     if f == 1:
+        budgets: tuple[int, ...] = ()
         chain_tuples = [StabilizationTuple(())]  # L is erased from the diagram
     else:
         chain = ding_geiges(1 / (1 - f), l_component)
+        budgets = chain.budgets
         chain_tuples = stabilization_tuples(chain)
     certificates = []
     for l_prime_rot in (Fraction(-1), Fraction(1)):
         for t in chain_tuples:
             evaluations = StabilizationTuple((l_prime_rot, *t.rots))
             certificates.append(chern_certificate(Family.POSITIVE_R, evaluations, 1))
-    return certificates
+    return budgets, certificates
 
 
-def _budgets_of(f: Fraction, family: Family) -> tuple[int, ...]:
-    """Stabilization budgets behind a family's tuples, for extremality tests."""
-    if family is Family.PHI_OVERTWISTED:
-        if f.denominator == 1:
-            return (0,)
-        s = math.floor(f) + 1 - f
-        return chain_budgets(-1 / (1 - s))
-    if family is Family.POSITIVE_R:
-        if f == 1:
-            return ()
-        return chain_budgets(1 / (1 - f))
-    raise ValueError(f"no budget reconstruction for family {family.value}")
-
-
-def universal_tightness_tag(cert: ChernCertificate, r: Slope) -> UTTag:
+def universal_tightness_tag(cert: ChernCertificate, r: Slope, budgets: tuple[int, ...]) -> UTTag:
     """Tag a certificate as universally tight, not, or an unresolved pair.
 
-    Uniform-sign tuples (every component at an extremal rotation number,
-    all nonzero evaluations sharing one sign) are the candidates; they are
-    definitely universally tight for negative r and for integral positive
-    r, and an unresolved 2-or-4 pair for non-integral positive r.  The
-    standard-background family is always virtually overtwisted.
+    `budgets` are the stabilization budgets of the chain behind the
+    certificate's family.  Uniform-sign tuples (every component at an
+    extremal rotation number, all nonzero evaluations sharing one sign)
+    are the candidates; they are definitely universally tight for
+    negative r and for integral positive r, and an unresolved 2-or-4 pair
+    for non-integral positive r.  The standard-background family is
+    always virtually overtwisted.
     """
     if cert.family is Family.PSI_STD:
         return UTTag.NO
@@ -205,7 +219,6 @@ def universal_tightness_tag(cert: ChernCertificate, r: Slope) -> UTTag:
     rots = [e / cert.scale for e in cert.evaluations]
     if cert.family is Family.POSITIVE_R:
         rots = rots[1:]  # the sign on L′ does not affect universal tightness
-    budgets = _budgets_of(f, cert.family)
     extremal = all(abs(rot) == b for rot, b in zip(rots, budgets))
     signs = {1 if rot > 0 else -1 for rot in rots if rot != 0}
     if not extremal or len(signs) > 1:
@@ -228,22 +241,21 @@ def enumerate_structures(r: Slope) -> list[ContactStructureCert]:
     the overtwisted-background one; positive coefficients list the L′ sign
     choices outermost.  The length always equals the finite count.
     """
-    f = r.as_fraction()
+    f = finite_coefficient(r)
     if not in_classified_range(f):
         raise ValueError(f"coefficient {r} is outside the classified range")
     if f > 0:
-        certificates = _positive_certificates(f)
+        families = [_positive_certificates(f)]
     else:
-        certificates = _psi_certificates(f) if f < -3 else []
-        certificates += _phi_certificates(f)
+        families = [_psi_certificates(f)] if f < -3 else []
+        families.append(_phi_certificates(f))
     return [
         ContactStructureCert(
-            family=c.family,
             certificate=c,
             stein=_stein_tag(c.family, f),
-            strong="Yes",
-            universally_tight=universal_tightness_tag(c, r),
+            universally_tight=universal_tightness_tag(c, r, budgets),
         )
+        for budgets, certificates in families
         for c in certificates
     ]
 
@@ -276,11 +288,11 @@ def count_as_json(count: TightCount) -> dict[str, object]:
 
 def structure_as_json(cert: ContactStructureCert) -> dict[str, object]:
     return {
-        "family": cert.family.value,
+        "family": cert.certificate.family.value,
         "evaluations": [str(e) for e in cert.certificate.evaluations],
         "scale": cert.certificate.scale,
         "stein": cert.stein.value,
-        "strong": cert.strong,
+        "strong": "Yes",
         "universally_tight": cert.universally_tight.value,
     }
 

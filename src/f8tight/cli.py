@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 from fractions import Fraction
@@ -21,7 +20,7 @@ from .classification import (
     SteinTag,
     UTTag,
     classify,
-    in_classified_range,
+    coefficients_between,
     result_as_json,
     tight_count,
 )
@@ -51,6 +50,16 @@ def _fraction(text: str) -> Fraction:
         raise ValueError(str(exc)) from exc
 
 
+def _show(compute):
+    """A command that prints one computed value and succeeds."""
+
+    def command(args: argparse.Namespace, out) -> int:
+        print(compute(args), file=out)
+        return 0
+
+    return command
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="f8tight",
@@ -60,44 +69,57 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="tight-structure count for M(r)")
     p.add_argument("r", type=parse_slope)
+    p.set_defaults(func=_show(lambda a: _format_count(a.r)))
 
     p = sub.add_parser("enumerate", help="list the certificates for r in the classified range")
     p.add_argument("r", type=parse_slope)
     p.add_argument("--json", action="store_true", dest="as_json")
+    p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("phi", help="the per-unit-interval count function")
     p.add_argument("r", type=_fraction)
+    p.set_defaults(func=_show(lambda a: phi(a.r)))
 
     p = sub.add_parser("psi", help="the companion count supported on r < -3")
     p.add_argument("r", type=_fraction)
+    p.set_defaults(func=_show(lambda a: psi(a.r)))
 
     p = sub.add_parser("cfrac", help="negative continued fraction expansion")
     p.add_argument("x", type=_fraction)
     p.add_argument("--form", choices=["std", "st"], default="std")
+    p.set_defaults(func=_show(lambda a: neg_cfrac(a.x, Form(a.form))))
 
     p = sub.add_parser("bypass-step", help="one bypass move on a convex torus")
     p.add_argument("s", type=parse_slope)
     p.add_argument("arc", type=parse_slope)
     p.add_argument("--back", action="store_true")
+    p.set_defaults(
+        func=_show(lambda a: bypass_step(a.s, BypassMove(AttachSide.BACK if a.back else AttachSide.FRONT, a.arc)))
+    )
 
     p = sub.add_parser("thicken", help="iterate slope-0 bypass moves to -3 or inf")
     p.add_argument("s", type=parse_slope)
+    p.set_defaults(func=_cmd_thicken)
 
     p = sub.add_parser("window", help="admissible neighbor slopes of a coefficient")
     p.add_argument("r", type=parse_slope)
     p.add_argument("--bound", type=int, required=True)
+    p.set_defaults(func=_show(lambda a: " ".join(str(s) for s in slopes_in_window(SlopeWindow(a.r, a.bound)))))
 
     p = sub.add_parser("solid-torus", help="tight-structure count on a solid torus")
     p.add_argument("--meridian", type=parse_slope, required=True)
     p.add_argument("--dividing", type=parse_slope, required=True)
+    p.set_defaults(func=_show(lambda a: solid_torus_count(solid_torus_spec(a.meridian, a.dividing))))
 
     p = sub.add_parser("check-framing", help="replay the Kirby moves for positive r")
     p.add_argument("r", type=_fraction)
+    p.set_defaults(func=_show(lambda a: "true" if smooth_framing_check(a.r) else "false"))
 
     p = sub.add_parser("table", help="classification table over a coefficient range")
     p.add_argument("--from", dest="start", type=_fraction, required=True)
     p.add_argument("--to", dest="stop", type=_fraction, required=True)
     p.add_argument("--denominator", type=int, default=1)
+    p.set_defaults(func=_cmd_table)
 
     # Arguments like -3/2 or -inf must parse as values, not option flags;
     # argparse only special-cases plain negative integers by default.
@@ -115,15 +137,10 @@ def _format_count(r: Slope) -> str:
     return f"{COUNT_WORDS[count.kind]} {count.value}"
 
 
-def _cmd_count(args: argparse.Namespace, out) -> int:
-    print(_format_count(args.r), file=out)
-    return 0
-
-
 def _cmd_enumerate(args: argparse.Namespace, out) -> int:
-    if not in_classified_range(args.r.as_fraction()):
-        raise ValueError(f"coefficient {args.r} is outside the classified range")
     result = classify(args.r)
+    if result.count.kind is not CountKind.FINITE:
+        raise ValueError(f"coefficient {args.r} is outside the classified range")
     if args.as_json:
         print(json.dumps(result_as_json(result)), file=out)
         return 0
@@ -133,8 +150,8 @@ def _cmd_enumerate(args: argparse.Namespace, out) -> int:
     for cert in result.structures:
         evaluations = ",".join(str(e) for e in cert.certificate.evaluations)
         print(
-            f"{cert.family.value} evaluations=({evaluations}) scale={cert.certificate.scale} "
-            f"stein={cert.stein.value} strong={cert.strong} ut={cert.universally_tight.value}",
+            f"{cert.certificate.family.value} evaluations=({evaluations}) scale={cert.certificate.scale} "
+            f"stein={cert.stein.value} strong=Yes ut={cert.universally_tight.value}",
             file=out,
         )
     return 0
@@ -151,24 +168,12 @@ def _cmd_thicken(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _coefficients_between(start: Fraction, stop: Fraction, max_den: int) -> list[Fraction]:
-    seen = set()
-    for q in range(1, max_den + 1):
-        for p in range(math.ceil(start * q), math.floor(stop * q) + 1):
-            if math.gcd(abs(p), q) == 1:
-                seen.add(Fraction(p, q))
-    return sorted(seen)
-
-
 def _cmd_table(args: argparse.Namespace, out) -> int:
-    if args.denominator < 1:
-        raise ValueError("denominator bound must be positive")
-    coefficients = _coefficients_between(args.start, args.stop, args.denominator)
+    coefficients = coefficients_between(args.start, args.stop, args.denominator)
     if not coefficients:
         print("usage error: empty coefficient range", file=sys.stderr)
         return 2
-    for f in coefficients:
-        r = Slope(f.numerator, f.denominator)
+    for r in coefficients:
         result = classify(r)
         row = [str(r), result.verdict.value]
         if result.count.kind is CountKind.INFINITE:
@@ -198,43 +203,15 @@ def run(argv: list[str], out=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "count":
-            return _cmd_count(args, out)
-        if args.command == "enumerate":
-            return _cmd_enumerate(args, out)
-        if args.command == "phi":
-            print(phi(args.r), file=out)
-            return 0
-        if args.command == "psi":
-            print(psi(args.r), file=out)
-            return 0
-        if args.command == "cfrac":
-            form = Form.STANDARD if args.form == "std" else Form.SOLID_TORUS
-            print(neg_cfrac(args.x, form), file=out)
-            return 0
-        if args.command == "bypass-step":
-            side = AttachSide.BACK if args.back else AttachSide.FRONT
-            print(bypass_step(args.s, BypassMove(side, args.arc)), file=out)
-            return 0
-        if args.command == "thicken":
-            return _cmd_thicken(args, out)
-        if args.command == "window":
-            slopes = slopes_in_window(SlopeWindow(args.r, args.bound))
-            print(" ".join(str(s) for s in slopes), file=out)
-            return 0
-        if args.command == "solid-torus":
-            print(solid_torus_count(solid_torus_spec(args.meridian, args.dividing)), file=out)
-            return 0
-        if args.command == "check-framing":
-            print("true" if smooth_framing_check(args.r) else "false", file=out)
-            return 0
-        if args.command == "table":
-            return _cmd_table(args, out)
+        return args.func(args, out)
     except (ValueError, RuntimeError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

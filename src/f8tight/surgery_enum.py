@@ -6,12 +6,14 @@ negative continued fraction form, stabilize the knot |r0+1| times, then
 each successive push-off |ri+2| times.  Which way each stabilization goes
 is a free choice, and the resulting rotation numbers, scaled into Chern
 class evaluations, certify that the contact structures built from
-different choices are pairwise distinct.
+different choices are pairwise distinct.  The budgets are read off one
+expansion (`chain_budgets`) and the chain carries them from then on.
 
 Only the three base knots the classification needs are modeled (all genus
-one or unknotted): the standard tb = −3 figure-eight, its tb = n
-approximations in an overtwisted background, and the linked pair behind
-the positive-coefficient construction.
+one or unknotted): the standard tb = −3 figure-eight, the virtual rot = 0
+knot whose stabilizations are its approximations in an overtwisted
+background, and the linked pair behind the positive-coefficient
+construction.
 """
 
 from __future__ import annotations
@@ -36,22 +38,18 @@ class LegendrianComponent:
     """One chain component: classical invariants plus its stabilization budget.
 
     `tb` and `base_rot` may be rational for rationally null-homologous
-    knots (`homology_order` > 1); stabilizing shifts the rotation number by
-    ±1 either way.
+    knots; stabilizing shifts the rotation number by ±1 either way.
     """
 
     tb: Fraction
     base_rot: Fraction
     stab_budget: int
-    homology_order: int = 1
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tb", Fraction(self.tb))
         object.__setattr__(self, "base_rot", Fraction(self.base_rot))
         if self.stab_budget < 0:
             raise ValueError("stabilization budget cannot be negative")
-        if self.homology_order < 1:
-            raise ValueError("homology order must be positive")
 
     def rot_choices(self) -> list[Fraction]:
         """Reachable rotation numbers: base − b, base − b + 2, ..., base + b."""
@@ -61,16 +59,13 @@ class LegendrianComponent:
 
 @dataclass(frozen=True)
 class LegendrianChain:
-    components: tuple[LegendrianComponent, ...]
-    source_coefficient: Fraction
+    """The components of one unrolled surgery; built by `ding_geiges`."""
 
-    def __post_init__(self) -> None:
-        # Budgets are pinned to the standard expansion of the coefficient.
-        digits = neg_cfrac(self.source_coefficient, Form.STANDARD).digits
-        expected = [abs(digits[0] + 1)] + [abs(d + 2) for d in digits[1:]]
-        actual = [c.stab_budget for c in self.components]
-        if actual != expected:
-            raise ValueError(f"budgets {actual} do not match expansion {list(digits)}")
+    components: tuple[LegendrianComponent, ...]
+
+    @property
+    def budgets(self) -> tuple[int, ...]:
+        return tuple(c.stab_budget for c in self.components)
 
 
 @dataclass(frozen=True)
@@ -98,17 +93,6 @@ def figure_eight_standard() -> LegendrianComponent:
     return LegendrianComponent(tb=Fraction(-3), base_rot=Fraction(0), stab_budget=0)
 
 
-def legendrian_approximation(n: int, sign: int) -> LegendrianComponent:
-    """Genus-one approximation with tb = n and rot = ∓(n − 1).
-
-    `sign` picks which of the two mirror-image knots: +1 gives rot
-    −(n − 1), −1 gives +(n − 1).
-    """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return LegendrianComponent(tb=Fraction(n), base_rot=Fraction(-sign * (n - 1)), stab_budget=0)
-
-
 def positive_surgery_pair() -> tuple[LegendrianComponent, LegendrianComponent]:
     """The linked pair (L, L′) behind the positive-coefficient construction.
 
@@ -124,18 +108,10 @@ def positive_surgery_pair() -> tuple[LegendrianComponent, LegendrianComponent]:
 def ding_geiges(r: Fraction | int, base: LegendrianComponent) -> LegendrianChain:
     """Unroll contact r-surgery (r < 0) on `base` into a Legendrian chain.
 
-    Component 0 keeps the base knot's invariants with budget |r0 + 1|;
-    each later component is a push-off of its predecessor with budget
-    |ri + 2|.
+    Component 0 keeps the base knot's invariants; each later component is
+    a push-off of its predecessor.  The budgets are `chain_budgets(r)`.
     """
-    r = Fraction(r)
-    if r >= 0:
-        raise ValueError(f"the unrolling needs a negative coefficient, got {r}")
-    digits = neg_cfrac(r, Form.STANDARD).digits
-    components = [replace(base, stab_budget=abs(digits[0] + 1))]
-    for d in digits[1:]:
-        components.append(replace(components[-1], stab_budget=abs(d + 2)))
-    return LegendrianChain(tuple(components), r)
+    return LegendrianChain(tuple(replace(base, stab_budget=b) for b in chain_budgets(r)))
 
 
 def stabilization_tuples(chain: LegendrianChain) -> list[StabilizationTuple]:
@@ -162,14 +138,14 @@ def choice_count(r_contact: Fraction | int) -> int:
     return math.prod(b + 1 for b in chain_budgets(r_contact))
 
 
-def phi_family_tuples(r: Fraction, n: int) -> list[StabilizationTuple]:
-    """Rotation tuples distinguishing the overtwisted-background structures.
+def phi_family_chain(r: Fraction, n: int) -> LegendrianChain:
+    """The chain whose stabilizations distinguish the overtwisted-background structures.
 
     For non-integral r in the window (n, n+1) with n ≤ −1, the two
     candidate knots arise as the stabilizations of a virtual rot = 0 knot,
     so the whole family is the stabilization lattice of the chain for
     contact −1/(1−s)-surgery on that virtual base, where s = n + 1 − r.
-    The first budget is then at least 1 and the list has Φ(r) entries.
+    The first budget is then at least 1 and the lattice has Φ(r) entries.
     """
     r = Fraction(r)
     if r.denominator == 1:
@@ -179,10 +155,8 @@ def phi_family_tuples(r: Fraction, n: int) -> list[StabilizationTuple]:
     if not n < r < n + 1:
         raise ValueError(f"{r} is not in the window ({n}, {n + 1})")
     s = n + 1 - r
-    virtual_base = LegendrianComponent(
-        tb=Fraction(1), base_rot=Fraction(0), stab_budget=0, homology_order=abs(n)
-    )
-    return stabilization_tuples(ding_geiges(-1 / (1 - s), virtual_base))
+    virtual_base = LegendrianComponent(tb=Fraction(1), base_rot=Fraction(0), stab_budget=0)
+    return ding_geiges(-1 / (1 - s), virtual_base)
 
 
 def chern_certificate(family: Family, tup: StabilizationTuple, scale: int) -> ChernCertificate:
@@ -201,45 +175,20 @@ def chern_certificate(family: Family, tup: StabilizationTuple, scale: int) -> Ch
 def smooth_framing_check(r: Fraction | int) -> bool:
     """Replay the Kirby moves identifying the positive-r diagram with M(r).
 
-    Checks, with exact fractions: the contact-to-smooth conversions
-    (contact 1/(1−r) on tb = −1 gives smooth r/(1−r); contact −2 on
-    tb = 1 gives smooth −1), the right-handed Rolfsen twist returning
-    r/(1−r) to r, the blowdown of the −1-framed algebraically unlinked
-    component, and the first-homology order |det| = |numerator of r|.
-    For r = 1 the twisting component is erased and only the rest applies.
+    Checks, with exact fractions: the smooth framing of L (contact
+    1/(1−r) on tb = −1 gives smooth r/(1−r)), the right-handed Rolfsen
+    twist returning r/(1−r) to r, and the first-homology order
+    |det| = |numerator of r|.  L′ (contact −2 on tb = 1, smooth −1) is
+    algebraically unlinked from L, so the twist keeps its framing and its
+    blowdown shifts nothing.  For r = 1 the twisting component is erased
+    and only that blowdown remains.
     """
     r = Fraction(r)
     if r < 1:
         raise ValueError(f"the positive-coefficient diagram needs r >= 1, got {r}")
-    checks = [Fraction(-2) + 1 == Fraction(-1)]  # contact −2 on tb = 1
     if r == 1:
-        # Only the −1-framed unknot remains; blowing it down leaves the
-        # surgery coefficient 1 untouched (linking number zero).
-        determinant = r.numerator * -1
-    else:
-        smooth = 1 / (1 - r) + (-1)  # contact coefficient plus tb
-        checks.append(smooth == r / (1 - r))
-        twisted = Fraction(smooth.numerator, smooth.denominator + smooth.numerator)
-        checks.append(twisted == r)
-        # The companion is algebraically unlinked, so the twist keeps its
-        # framing at −1 and the blowdown shifts nothing: lk² = 0.
-        checks.append(twisted + 0 == r)
-        determinant = smooth.numerator * -1
-    checks.append(abs(determinant) == abs(r.numerator))
-    return all(checks)
-
-
-def component_as_json(component: LegendrianComponent) -> dict[str, object]:
-    return {
-        "tb": str(component.tb),
-        "rot": str(component.base_rot),
-        "budget": component.stab_budget,
-    }
-
-
-def chain_as_json(chain: LegendrianChain) -> list[dict[str, object]]:
-    return [component_as_json(c) for c in chain.components]
-
-
-def tuple_as_json(tup: StabilizationTuple) -> list[str]:
-    return [str(rot) for rot in tup.rots]
+        return True
+    smooth = 1 / (1 - r) + (-1)  # contact coefficient plus tb
+    twisted = Fraction(smooth.numerator, smooth.denominator + smooth.numerator)
+    determinant = smooth.numerator * -1
+    return smooth == r / (1 - r) and twisted == r and abs(determinant) == abs(r.numerator)

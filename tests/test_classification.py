@@ -34,8 +34,9 @@ from f8tight import (
     psi,
     tight_count,
 )
-from f8tight.classification import result_as_json, structure_as_json
-from f8tight.slope import from_rational
+from f8tight import cfrac, surgery_enum
+from f8tight.classification import coefficients_between, result_as_json, structure_as_json
+from f8tight.slope import INFINITY, from_rational
 
 classified = st.fractions(min_value=-30, max_value=30, max_denominator=12).filter(
     in_classified_range
@@ -135,7 +136,7 @@ def test_enumerate_rejects_gap_and_toroidal_coefficients():
 def test_enumeration_frozen_minus_nine_halves():
     certs = enumerate_structures(Slope(-9, 2))
     rows = [
-        (c.family, c.certificate.evaluations, c.certificate.scale, c.universally_tight)
+        (c.certificate.family, c.certificate.evaluations, c.certificate.scale, c.universally_tight)
         for c in certs
     ]
     assert rows == [
@@ -144,12 +145,12 @@ def test_enumeration_frozen_minus_nine_halves():
         (Family.PHI_OVERTWISTED, (-5,), 5, UTTag.YES),
         (Family.PHI_OVERTWISTED, (5,), 5, UTTag.YES),
     ]
-    assert all(c.stein is SteinTag.YES and c.strong == "Yes" for c in certs)
+    assert all(c.stein is SteinTag.YES for c in certs)
 
 
 def test_enumeration_frozen_minus_five():
     certs = enumerate_structures(Slope(-5, 1))
-    assert [c.family.value for c in certs] == ["PsiStd", "PsiStd", "PhiOvertwisted"]
+    assert [c.certificate.family.value for c in certs] == ["PsiStd", "PsiStd", "PhiOvertwisted"]
     assert certs[2].certificate.evaluations == (0,)
     assert certs[2].certificate.scale == 5
     assert certs[2].universally_tight is UTTag.YES
@@ -158,7 +159,7 @@ def test_enumeration_frozen_minus_five():
 def test_enumeration_frozen_seven_thirds():
     certs = enumerate_structures(Slope(7, 3))
     assert len(certs) == 6
-    assert all(c.family is Family.POSITIVE_R for c in certs)
+    assert all(c.certificate.family is Family.POSITIVE_R for c in certs)
     tags = [c.universally_tight for c in certs]
     assert tags.count(UTTag.CANDIDATE_PAIR) == 4
     assert tags.count(UTTag.NO) == 2
@@ -183,7 +184,7 @@ def test_stein_tag_threshold():
     at_boundary = enumerate_structures(Slope(-9, 1))
     assert all(c.stein is SteinTag.YES for c in at_boundary)
     below = enumerate_structures(Slope(-10, 1))
-    by_family = {c.family: c.stein for c in below}
+    by_family = {c.certificate.family: c.stein for c in below}
     assert by_family[Family.PSI_STD] is SteinTag.YES
     assert by_family[Family.PHI_OVERTWISTED] is SteinTag.UNKNOWN
 
@@ -199,7 +200,7 @@ def test_enumeration_matches_count_and_is_distinct(r):
 @given(classified)
 def test_family_composition(r):
     slope = from_rational(r)
-    families = [c.family for c in enumerate_structures(slope)]
+    families = [c.certificate.family for c in enumerate_structures(slope)]
     if r > 0:
         assert set(families) == {Family.POSITIVE_R}
     elif r < -3:
@@ -217,7 +218,7 @@ def test_involution_permutes_the_enumeration(r):
     assert set(images) == set(certs)
     for cert, image in zip(certs, images):
         assert involution(image) == cert
-        assert image.family is cert.family
+        assert image.certificate.family is cert.certificate.family
         assert image.universally_tight is cert.universally_tight
         assert image.stein is cert.stein
 
@@ -259,11 +260,8 @@ def test_ut_profile_positive_fractions(r):
 def test_certificate_validation():
     cert = ChernCertificate(Family.PSI_STD, (Fraction(1),), 1)
     with pytest.raises(ValueError):
-        ContactStructureCert(Family.PSI_STD, cert, SteinTag.YES, "No", UTTag.NO)
-    with pytest.raises(ValueError):
-        ContactStructureCert(Family.PSI_STD, cert, SteinTag.YES, "Yes", UTTag.YES)
-    with pytest.raises(ValueError):
-        ContactStructureCert(Family.POSITIVE_R, cert, SteinTag.YES, "Yes", UTTag.YES)
+        ContactStructureCert(cert, SteinTag.YES, UTTag.YES)
+    assert ContactStructureCert(cert, SteinTag.YES, UTTag.NO).certificate is cert
 
 
 def test_result_validation():
@@ -320,3 +318,38 @@ def test_json_shape_frozen():
 def test_structure_json_uses_fraction_strings():
     certs = enumerate_structures(Slope(-9, 2))
     assert structure_as_json(certs[2])["evaluations"] == ["-5"]
+
+
+@pytest.mark.parametrize(
+    "r",
+    [Fraction(-68111, 6930), Fraction(-9, 2), Fraction(-5), Fraction(-13, 5), Fraction(7, 3), Fraction(3)],
+)
+def test_classify_expands_each_chain_once(monkeypatch, r):
+    # Counting takes at most two expansions (Φ and Ψ) and each family's
+    # chain one more, however many certificates the chains produce.
+    original = cfrac.neg_cfrac
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for module in (cfrac, surgery_enum):
+        monkeypatch.setattr(module, "neg_cfrac", counting)
+    result = classify(from_rational(r))
+    assert result.count.kind is CountKind.FINITE
+    assert len(calls) <= 4, calls
+
+
+def test_infinity_is_a_domain_error_naming_the_coefficient():
+    for call in (tight_count, enumerate_structures, classify):
+        with pytest.raises(ValueError, match="coefficient inf is not finite: r-surgery needs a finite r"):
+            call(INFINITY)
+
+
+def test_coefficients_between():
+    window = coefficients_between(Fraction(-1), Fraction(1, 2), 3)
+    assert [str(s) for s in window] == ["-1", "-2/3", "-1/2", "-1/3", "0", "1/3", "1/2"]
+    assert coefficients_between(Fraction(1, 3), Fraction(2, 5), 2) == []
+    with pytest.raises(ValueError):
+        coefficients_between(Fraction(0), Fraction(1), 0)

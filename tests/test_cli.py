@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -213,3 +215,22 @@ def test_main_subprocess_roundtrip():
     )
     assert proc.returncode == 3
     assert proc.stderr.startswith("domain error:")
+
+
+def test_module_entry_point():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "f8tight.cli", "count", "-9/2"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "finite 4\n", "")
+
+
+@pytest.mark.parametrize("argv", [("count", "inf"), ("count", "-inf"), ("enumerate", "inf"), ("enumerate", "1/0")])
+def test_infinity_is_a_domain_error(capsys, argv):
+    code, text = run_cli(*argv)
+    assert (code, text) == (3, "")
+    assert capsys.readouterr().err == "domain error: coefficient inf is not finite: r-surgery needs a finite r\n"
