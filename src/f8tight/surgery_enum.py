@@ -7,7 +7,7 @@ each successive push-off |ri+2| times.  Which way each stabilization goes
 is a free choice, and the resulting rotation numbers, scaled into Chern
 class evaluations, certify that the contact structures built from
 different choices are pairwise distinct.  The budgets are read off one
-expansion (`chain_budgets`) and the chain carries them from then on.
+expansion (`unroll`) and the chain carries them from then on.
 
 Only the three base knots the classification needs are modeled (all genus
 one or unknotted): the standard tb = −3 figure-eight, the virtual rot = 0
@@ -19,12 +19,11 @@ construction.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 
-from .cfrac import Form, neg_cfrac
+from .cfrac import Form, NegContinuedFraction, neg_cfrac, phi_expansion, standard_product
 
 
 class Family(Enum):
@@ -105,13 +104,41 @@ def positive_surgery_pair() -> tuple[LegendrianComponent, LegendrianComponent]:
     return l_component, l_prime
 
 
-def ding_geiges(r: Fraction | int, base: LegendrianComponent) -> LegendrianChain:
-    """Unroll contact r-surgery (r < 0) on `base` into a Legendrian chain.
+def virtual_rot_zero() -> LegendrianComponent:
+    """The virtual (tb, rot) = (1, 0) knot behind the overtwisted-background family."""
+    return LegendrianComponent(tb=Fraction(1), base_rot=Fraction(0), stab_budget=0)
 
-    Component 0 keeps the base knot's invariants; each later component is
-    a push-off of its predecessor.  The budgets are `chain_budgets(r)`.
+
+def unroll(cf: NegContinuedFraction, base: LegendrianComponent) -> LegendrianChain:
+    """The chain of contact surgery on `base` whose coefficient expands to `cf`.
+
+    Component 0 keeps the base knot's invariants and is stabilized |r0+1|
+    times; each later component is a push-off of its predecessor,
+    stabilized |ri+2| times.
     """
-    return LegendrianChain(tuple(replace(base, stab_budget=b) for b in chain_budgets(r)))
+    if cf.form is not Form.STANDARD:
+        raise ValueError("a surgery chain is unrolled from the standard form")
+    budgets = _budgets(cf)
+    # Components are immutable, so a long run of equal budgets shares one.
+    components = {b: replace(base, stab_budget=b) for b in set(budgets)}
+    return LegendrianChain(tuple(components[b] for b in budgets))
+
+
+def _budgets(cf: NegContinuedFraction) -> tuple[int, ...]:
+    digits = cf.digits
+    return (abs(digits[0] + 1), *(abs(d + 2) for d in digits[1:]))
+
+
+def _contact_expansion(r_contact: Fraction | int) -> NegContinuedFraction:
+    r = Fraction(r_contact)
+    if r >= 0:
+        raise ValueError(f"contact coefficient must be negative, got {r}")
+    return neg_cfrac(r, Form.STANDARD)
+
+
+def ding_geiges(r: Fraction | int, base: LegendrianComponent) -> LegendrianChain:
+    """Unroll contact r-surgery (r < 0) on `base` into a Legendrian chain."""
+    return unroll(_contact_expansion(r), base)
 
 
 def stabilization_tuples(chain: LegendrianChain) -> list[StabilizationTuple]:
@@ -126,16 +153,16 @@ def stabilization_tuples(chain: LegendrianChain) -> list[StabilizationTuple]:
 
 def chain_budgets(r_contact: Fraction | int) -> tuple[int, ...]:
     """The stabilization budgets of the chain for contact r-surgery, r < 0."""
-    r = Fraction(r_contact)
-    if r >= 0:
-        raise ValueError(f"contact coefficient must be negative, got {r}")
-    digits = neg_cfrac(r, Form.STANDARD).digits
-    return (abs(digits[0] + 1), *(abs(d + 2) for d in digits[1:]))
+    return _budgets(_contact_expansion(r_contact))
 
 
 def choice_count(r_contact: Fraction | int) -> int:
-    """Number of stabilization choices for contact r-surgery, r < 0."""
-    return math.prod(b + 1 for b in chain_budgets(r_contact))
+    """Number of stabilization choices for contact r-surgery, r < 0.
+
+    Π(|r0+1| + 1)·Π(|ri+2| + 1) is the standard digit product of the
+    expansion, so it is read off the blocks without spelling out digits.
+    """
+    return standard_product(_contact_expansion(r_contact))
 
 
 def phi_family_chain(r: Fraction, n: int) -> LegendrianChain:
@@ -145,7 +172,9 @@ def phi_family_chain(r: Fraction, n: int) -> LegendrianChain:
     candidate knots arise as the stabilizations of a virtual rot = 0 knot,
     so the whole family is the stabilization lattice of the chain for
     contact −1/(1−s)-surgery on that virtual base, where s = n + 1 − r.
-    The first budget is then at least 1 and the lattice has Φ(r) entries.
+    That coefficient is −1/t for t = r − n, the fractional part of r, so
+    the chain unrolls `phi_expansion(r)`: the first budget is at least 1
+    and the lattice has Φ(r) entries.
     """
     r = Fraction(r)
     if r.denominator == 1:
@@ -154,9 +183,7 @@ def phi_family_chain(r: Fraction, n: int) -> LegendrianChain:
         raise ValueError(f"window integer must be at most -1, got {n}")
     if not n < r < n + 1:
         raise ValueError(f"{r} is not in the window ({n}, {n + 1})")
-    s = n + 1 - r
-    virtual_base = LegendrianComponent(tb=Fraction(1), base_rot=Fraction(0), stab_budget=0)
-    return ding_geiges(-1 / (1 - s), virtual_base)
+    return unroll(phi_expansion(r), virtual_rot_zero())
 
 
 def chern_certificate(family: Family, tup: StabilizationTuple, scale: int) -> ChernCertificate:

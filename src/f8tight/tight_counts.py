@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cfrac import Form, NegContinuedFraction, neg_cfrac, solid_torus_product
+from .cfrac import Form, NegContinuedFraction, cfrac_matrix, neg_cfrac, solid_torus_product
 from .slope import (
     INFINITY,
     Slope,
@@ -26,7 +26,6 @@ from .slope import (
     basis_completion,
     det,
     is_farey_adjacent,
-    reduce,
 )
 from .torus_dynamics import AttachSide, BypassMove, bypass_step
 
@@ -230,16 +229,9 @@ def factorization_matrix(c: NegContinuedFraction) -> UnimodularMatrix:
     """Left-to-right product of [[−ri, 1], [−1, 0]] over the digits.
 
     The first column, read as a slope vector, is the value of the
-    expansion; the determinant is always +1.
+    expansion; the determinant is always +1.  A run of k digits −2 is the
+    single factor [[k+1, k], [−k, 1−k]].
     """
     if c.form is not Form.STANDARD:
         raise ValueError("factorization_matrix expects the standard form")
-    product = UnimodularMatrix.identity()
-    for digit in c.digits:
-        product = product @ UnimodularMatrix(-digit, 1, -1, 0)
-    return product
-
-
-def first_column_slope(m: UnimodularMatrix) -> Slope:
-    """The slope encoded by a matrix's first column."""
-    return reduce(m.a, m.c)
+    return UnimodularMatrix(*cfrac_matrix(c))

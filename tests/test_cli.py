@@ -220,13 +220,14 @@ def test_main_subprocess_roundtrip():
 def test_module_entry_point():
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "f8tight.cli", "count", "-9/2"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "finite 4\n", "")
+    for module in ("f8tight.cli", "f8tight"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "count", "-9/2"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "finite 4\n", ""), module
 
 
 @pytest.mark.parametrize("argv", [("count", "inf"), ("count", "-inf"), ("enumerate", "inf"), ("enumerate", "1/0")])

@@ -42,7 +42,6 @@ from f8tight.tight_counts import (
     MINUS_ONE,
     NEGATIVE,
     POSITIVE,
-    first_column_slope,
     format_sign_sequence,
     induced_chain,
 )
@@ -324,10 +323,10 @@ def test_exceptional_fiber_count_recovers_psi(r, expected):
 def test_factorization_matrix_frozen():
     m = factorization_matrix(neg_cfrac(Fraction(-3, 2)))
     assert m.entries == (3, 2, -2, -1)
-    assert first_column_slope(m) == Slope(-3, 2)
+    assert reduce(m.a, m.c) == Slope(-3, 2)
     single = factorization_matrix(neg_cfrac(Fraction(-1)))
     assert single.entries == (1, 1, -1, 0)
-    assert first_column_slope(single) == Slope(-1, 1)
+    assert reduce(single.a, single.c) == Slope(-1, 1)
 
 
 def test_factorization_matrix_requires_standard_form():
@@ -340,4 +339,4 @@ def test_factorization_matrix_recovers_its_value(x):
     cf = neg_cfrac(x)
     m = factorization_matrix(cf)
     assert m.det == 1
-    assert first_column_slope(m) == from_rational(x)
+    assert reduce(m.a, m.c) == from_rational(x)
