@@ -211,36 +211,15 @@ def solid_torus_product(cf: NegContinuedFraction) -> int:
     return abs(last) * abs(last + 1) ** (run - 1) * _shifted_product(rest)
 
 
-# −1/t for t = 1, the fractional part of an integer.
-_INTEGRAL_PHI_EXPANSION = NegContinuedFraction((-1,), Form.STANDARD)
-
-
-def phi_expansion(r: Fraction | int) -> NegContinuedFraction:
-    """The expansion Φ(r) is the standard product of: −1/t, where t is the
-    representative of r mod 1 lying in (0, 1]."""
-    r = Fraction(r)
-    t = r - math.ceil(r) + 1
-    if t == 1:
-        return _INTEGRAL_PHI_EXPANSION
-    return neg_cfrac(-1 / t, Form.STANDARD)
-
-
-def psi_expansion(r: Fraction | int) -> NegContinuedFraction | None:
-    """The expansion Ψ(r) is the standard product of: r + 3 for r < −3,
-    and None (Ψ = 0) elsewhere."""
-    r = Fraction(r)
-    if r >= -3:
-        return None
-    return neg_cfrac(r + 3, Form.STANDARD)
-
-
 def phi(r: Fraction | int) -> int:
     """Per-unit-interval structure count: 1 on integers, ≥ 2 elsewhere.
 
     Invariant under r ↦ r + 1: it is the standard product of the
     expansion of −1/t, t the representative of r mod 1 in (0, 1].
     """
-    return standard_product(phi_expansion(r))
+    r = Fraction(r)
+    t = r - math.ceil(r) + 1
+    return standard_product(neg_cfrac(-1 / t, Form.STANDARD))
 
 
 def psi(r: Fraction | int) -> int:
@@ -250,5 +229,7 @@ def psi(r: Fraction | int) -> int:
     (expansions of −1/s and −1/(s+1) share their product for s > 0), so
     ψ reads it directly.  On integers n ≤ −4 this is |n| − 3.
     """
-    cf = psi_expansion(r)
-    return 0 if cf is None else standard_product(cf)
+    r = Fraction(r)
+    if r >= -3:
+        return 0
+    return standard_product(neg_cfrac(r + 3, Form.STANDARD))

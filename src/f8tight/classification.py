@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 
-from .cfrac import NegContinuedFraction, phi, phi_expansion, psi, psi_expansion, standard_product
+from .cfrac import phi, psi
 from .slope import Slope
 from .surgery_enum import (
     ChernCertificate,
@@ -28,10 +28,9 @@ from .surgery_enum import (
     chern_certificate,
     ding_geiges,
     figure_eight_standard,
+    phi_family_chain,
     positive_surgery_pair,
     stabilization_tuples,
-    unroll,
-    virtual_rot_zero,
 )
 
 TOROIDAL_COEFFICIENTS = (Fraction(0), Fraction(4), Fraction(-4))
@@ -143,31 +142,6 @@ def geometry_of(r: Slope) -> Geometry:
     return Geometry.HYPERBOLIC
 
 
-@dataclass(frozen=True)
-class CountExpansions:
-    """The two expansions a finite coefficient is counted from.
-
-    Φ is the standard product of `phi`, Ψ that of `psi` (0 when absent);
-    the overtwisted- and standard-background chains unroll the same two,
-    so `classify` makes each once and hands it to the count and the chain.
-    """
-
-    phi: NegContinuedFraction
-    psi: NegContinuedFraction | None
-
-    @classmethod
-    def of(cls, f: Fraction) -> CountExpansions:
-        return cls(phi_expansion(f), psi_expansion(f))
-
-    @property
-    def phi_value(self) -> int:
-        return standard_product(self.phi)
-
-    @property
-    def psi_value(self) -> int:
-        return 0 if self.psi is None else standard_product(self.psi)
-
-
 def tight_count(r: Slope) -> TightCount:
     """How many tight structures M(r) supports.
 
@@ -178,13 +152,10 @@ def tight_count(r: Slope) -> TightCount:
     f = finite_coefficient(r)
     if f in TOROIDAL_COEFFICIENTS:
         return TightCount(CountKind.INFINITE)
-    return _formula_count(f, phi(f), psi(f))
-
-
-def _formula_count(f: Fraction, phi_value: int, psi_value: int) -> TightCount:
-    formula = 2 * phi_value if f > 0 else phi_value + psi_value
-    kind = CountKind.FINITE if in_classified_range(f) else CountKind.LOWER_BOUND
-    return TightCount(kind, formula)
+    formula = 2 * phi(f) if f > 0 else phi(f) + psi(f)
+    if in_classified_range(f):
+        return TightCount(CountKind.FINITE, formula)
+    return TightCount(CountKind.LOWER_BOUND, formula)
 
 
 # Each builder unrolls its family's chain once and returns the chain's
@@ -192,22 +163,22 @@ def _formula_count(f: Fraction, phi_value: int, psi_value: int) -> TightCount:
 FamilyCertificates = tuple[tuple[int, ...], list[ChernCertificate]]
 
 
-def _psi_certificates(psi_cf: NegContinuedFraction) -> FamilyCertificates:
+def _psi_certificates(f: Fraction) -> FamilyCertificates:
     """Certificates of the standard-background family, all Ψ(f) of them."""
-    chain = unroll(psi_cf, figure_eight_standard())
+    chain = ding_geiges(f + 3, figure_eight_standard())
     return chain.budgets, [chern_certificate(Family.PSI_STD, t, 1) for t in stabilization_tuples(chain)]
 
 
-def _phi_certificates(f: Fraction, phi_cf: NegContinuedFraction) -> FamilyCertificates:
+def _phi_certificates(f: Fraction) -> FamilyCertificates:
     """Certificates of the overtwisted-background family, all Φ(f) of them."""
     if f.denominator == 1:
         # The two integral candidate surgeries give isotopic structures, so
         # the family is the single fixed point of the sign involution.
         single = StabilizationTuple((Fraction(0),))
         return (0,), [chern_certificate(Family.PHI_OVERTWISTED, single, abs(int(f)))]
-    # The chain of `phi_family_chain(f, floor(f))`, from the expansion Φ was counted from.
-    chain = unroll(phi_cf, virtual_rot_zero())
-    scale = abs(math.floor(f))
+    n = math.floor(f)
+    chain = phi_family_chain(f, n)
+    scale = abs(n)
     return chain.budgets, [
         chern_certificate(Family.PHI_OVERTWISTED, t, scale) for t in stabilization_tuples(chain)
     ]
@@ -263,14 +234,12 @@ def _stein_tag(family: Family, f: Fraction) -> SteinTag:
     return SteinTag.UNKNOWN
 
 
-def enumerate_structures(r: Slope, expansions: CountExpansions | None = None) -> list[ContactStructureCert]:
+def enumerate_structures(r: Slope) -> list[ContactStructureCert]:
     """All tight structures on M(r) for r in the classified range.
 
     Negative coefficients list the standard-background family first, then
     the overtwisted-background one; positive coefficients list the L′ sign
     choices outermost.  The length always equals the finite count.
-    `expansions` are r's count expansions when the caller has already
-    made them (`classify` counts from them); otherwise they are made here.
     """
     f = finite_coefficient(r)
     if not in_classified_range(f):
@@ -278,9 +247,8 @@ def enumerate_structures(r: Slope, expansions: CountExpansions | None = None) ->
     if f > 0:
         families = [_positive_certificates(f)]
     else:
-        expansions = expansions or CountExpansions.of(f)
-        families = [] if expansions.psi is None else [_psi_certificates(expansions.psi)]
-        families.append(_phi_certificates(f, expansions.phi))
+        families = [_psi_certificates(f)] if f < -3 else []
+        families.append(_phi_certificates(f))
     return [
         ContactStructureCert(
             certificate=c,
@@ -305,17 +273,15 @@ def involution(cert: ContactStructureCert) -> ContactStructureCert:
 def classify(r: Slope) -> ClassificationResult:
     """Full verdict for M(r): geometry, count, and certificates if exact.
 
-    The count and the certificate chains read the same expansions, so
-    each is made once.
+    On the classified range the exact count is the number of certificates,
+    so only their chains are expanded; elsewhere the count is `tight_count`.
     """
     f = finite_coefficient(r)
-    if f in TOROIDAL_COEFFICIENTS:
-        return ClassificationResult(r, geometry_of(r), TightCount(CountKind.INFINITE), ())
-    expansions = CountExpansions.of(f)
-    count = _formula_count(f, expansions.phi_value, expansions.psi_value)
-    structures: tuple[ContactStructureCert, ...] = ()
-    if count.kind is CountKind.FINITE:
-        structures = tuple(enumerate_structures(r, expansions))
+    if in_classified_range(f):
+        structures = tuple(enumerate_structures(r))
+        count = TightCount(CountKind.FINITE, len(structures))
+    else:
+        structures, count = (), tight_count(r)
     return ClassificationResult(r, geometry_of(r), count, structures)
 
 

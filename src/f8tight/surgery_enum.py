@@ -7,7 +7,7 @@ each successive push-off |ri+2| times.  Which way each stabilization goes
 is a free choice, and the resulting rotation numbers, scaled into Chern
 class evaluations, certify that the contact structures built from
 different choices are pairwise distinct.  The budgets are read off one
-expansion (`unroll`) and the chain carries them from then on.
+expansion (`chain_budgets`) and the chain carries them from then on.
 
 Only the three base knots the classification needs are modeled (all genus
 one or unknotted): the standard tb = −3 figure-eight, the virtual rot = 0
@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 
-from .cfrac import Form, NegContinuedFraction, neg_cfrac, phi_expansion, standard_product
+from .cfrac import Form, NegContinuedFraction, neg_cfrac, standard_product
 
 
 class Family(Enum):
@@ -104,41 +104,13 @@ def positive_surgery_pair() -> tuple[LegendrianComponent, LegendrianComponent]:
     return l_component, l_prime
 
 
-def virtual_rot_zero() -> LegendrianComponent:
-    """The virtual (tb, rot) = (1, 0) knot behind the overtwisted-background family."""
-    return LegendrianComponent(tb=Fraction(1), base_rot=Fraction(0), stab_budget=0)
-
-
-def unroll(cf: NegContinuedFraction, base: LegendrianComponent) -> LegendrianChain:
-    """The chain of contact surgery on `base` whose coefficient expands to `cf`.
-
-    Component 0 keeps the base knot's invariants and is stabilized |r0+1|
-    times; each later component is a push-off of its predecessor,
-    stabilized |ri+2| times.
-    """
-    if cf.form is not Form.STANDARD:
-        raise ValueError("a surgery chain is unrolled from the standard form")
-    budgets = _budgets(cf)
-    # Components are immutable, so a long run of equal budgets shares one.
-    components = {b: replace(base, stab_budget=b) for b in set(budgets)}
-    return LegendrianChain(tuple(components[b] for b in budgets))
-
-
-def _budgets(cf: NegContinuedFraction) -> tuple[int, ...]:
-    digits = cf.digits
-    return (abs(digits[0] + 1), *(abs(d + 2) for d in digits[1:]))
-
-
-def _contact_expansion(r_contact: Fraction | int) -> NegContinuedFraction:
-    r = Fraction(r_contact)
-    if r >= 0:
-        raise ValueError(f"contact coefficient must be negative, got {r}")
-    return neg_cfrac(r, Form.STANDARD)
-
-
 def ding_geiges(r: Fraction | int, base: LegendrianComponent) -> LegendrianChain:
-    """Unroll contact r-surgery (r < 0) on `base` into a Legendrian chain."""
-    return unroll(_contact_expansion(r), base)
+    """Unroll contact r-surgery (r < 0) on `base` into a Legendrian chain.
+
+    Component 0 keeps the base knot's invariants; each later component is
+    a push-off of its predecessor.  The budgets are `chain_budgets(r)`.
+    """
+    return LegendrianChain(tuple(replace(base, stab_budget=b) for b in chain_budgets(r)))
 
 
 def stabilization_tuples(chain: LegendrianChain) -> list[StabilizationTuple]:
@@ -151,9 +123,17 @@ def stabilization_tuples(chain: LegendrianChain) -> list[StabilizationTuple]:
     return [StabilizationTuple(tuple(combo)) for combo in itertools.product(*choices)]
 
 
+def _contact_expansion(r_contact: Fraction | int) -> NegContinuedFraction:
+    r = Fraction(r_contact)
+    if r >= 0:
+        raise ValueError(f"contact coefficient must be negative, got {r}")
+    return neg_cfrac(r, Form.STANDARD)
+
+
 def chain_budgets(r_contact: Fraction | int) -> tuple[int, ...]:
     """The stabilization budgets of the chain for contact r-surgery, r < 0."""
-    return _budgets(_contact_expansion(r_contact))
+    digits = _contact_expansion(r_contact).digits
+    return (abs(digits[0] + 1), *(abs(d + 2) for d in digits[1:]))
 
 
 def choice_count(r_contact: Fraction | int) -> int:
@@ -172,9 +152,7 @@ def phi_family_chain(r: Fraction, n: int) -> LegendrianChain:
     candidate knots arise as the stabilizations of a virtual rot = 0 knot,
     so the whole family is the stabilization lattice of the chain for
     contact −1/(1−s)-surgery on that virtual base, where s = n + 1 − r.
-    That coefficient is −1/t for t = r − n, the fractional part of r, so
-    the chain unrolls `phi_expansion(r)`: the first budget is at least 1
-    and the lattice has Φ(r) entries.
+    The first budget is then at least 1 and the lattice has Φ(r) entries.
     """
     r = Fraction(r)
     if r.denominator == 1:
@@ -183,7 +161,9 @@ def phi_family_chain(r: Fraction, n: int) -> LegendrianChain:
         raise ValueError(f"window integer must be at most -1, got {n}")
     if not n < r < n + 1:
         raise ValueError(f"{r} is not in the window ({n}, {n + 1})")
-    return unroll(phi_expansion(r), virtual_rot_zero())
+    s = n + 1 - r
+    virtual_base = LegendrianComponent(tb=Fraction(1), base_rot=Fraction(0), stab_budget=0)
+    return ding_geiges(-1 / (1 - s), virtual_base)
 
 
 def chern_certificate(family: Family, tup: StabilizationTuple, scale: int) -> ChernCertificate:

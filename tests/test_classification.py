@@ -325,10 +325,11 @@ def test_structure_json_uses_fraction_strings():
     [Fraction(-68111, 6930), Fraction(-9, 2), Fraction(-5), Fraction(-13, 5), Fraction(7, 3), Fraction(3)],
 )
 def test_classify_expands_each_chain_once(monkeypatch, r):
-    # Counting takes at most two expansions (Φ and Ψ), and the chains of
-    # the negative families unroll those same two; only the positive
-    # family's chain expands a coefficient of its own.  No input is
-    # expanded twice, however many certificates the chains produce.
+    # On the classified range the count is the number of certificates, so
+    # only the chains are expanded: r + 3 for the standard-background
+    # family, −1/t (t the fractional part of r) for the overtwisted one,
+    # 1/(1 − r) for the positive one.  No input is expanded twice, however
+    # many certificates the chains produce.
     original = cfrac.neg_cfrac
     calls = []
 
