@@ -24,12 +24,9 @@ from .slope import Slope
 from .surgery_enum import (
     ChernCertificate,
     Family,
-    StabilizationTuple,
+    chain_budgets,
     chern_certificate,
-    ding_geiges,
-    figure_eight_standard,
-    phi_family_chain,
-    positive_surgery_pair,
+    phi_family_budgets,
     stabilization_tuples,
 )
 
@@ -158,72 +155,42 @@ def tight_count(r: Slope) -> TightCount:
     return TightCount(CountKind.LOWER_BOUND, formula)
 
 
-# Each builder unrolls its family's chain once and returns the chain's
-# budgets with the certificates, for `universal_tightness_tag`.
+# The certificates of one family come with the chain budgets behind them,
+# for `universal_tightness_tag`.
 FamilyCertificates = tuple[tuple[int, ...], list[ChernCertificate]]
 
-
-def _psi_certificates(f: Fraction) -> FamilyCertificates:
-    """Certificates of the standard-background family, all Ψ(f) of them."""
-    chain = ding_geiges(f + 3, figure_eight_standard())
-    return chain.budgets, [chern_certificate(Family.PSI_STD, t, 1) for t in stabilization_tuples(chain)]
+# L′ carries contact −2 on tb = 1: a one-component chain with budget 1,
+# whose two rotation numbers ±1 are the sign listed outermost.
+L_PRIME_BUDGETS = (1,)
 
 
-def _phi_certificates(f: Fraction) -> FamilyCertificates:
-    """Certificates of the overtwisted-background family, all Φ(f) of them."""
-    if f.denominator == 1:
-        # The two integral candidate surgeries give isotopic structures, so
-        # the family is the single fixed point of the sign involution.
-        single = StabilizationTuple((Fraction(0),))
-        return (0,), [chern_certificate(Family.PHI_OVERTWISTED, single, abs(int(f)))]
-    n = math.floor(f)
-    chain = phi_family_chain(f, n)
-    scale = abs(n)
-    return chain.budgets, [
-        chern_certificate(Family.PHI_OVERTWISTED, t, scale) for t in stabilization_tuples(chain)
-    ]
-
-
-def _positive_certificates(f: Fraction) -> FamilyCertificates:
-    """Certificates for positive coefficients: a sign on L′ times the chain on L."""
-    l_component, _ = positive_surgery_pair()
-    if f == 1:
-        budgets: tuple[int, ...] = ()
-        chain_tuples = [StabilizationTuple(())]  # L is erased from the diagram
-    else:
-        chain = ding_geiges(1 / (1 - f), l_component)
-        budgets = chain.budgets
-        chain_tuples = stabilization_tuples(chain)
-    certificates = []
-    for l_prime_rot in (Fraction(-1), Fraction(1)):
-        for t in chain_tuples:
-            evaluations = StabilizationTuple((l_prime_rot, *t.rots))
-            certificates.append(chern_certificate(Family.POSITIVE_R, evaluations, 1))
-    return budgets, certificates
+def _certificates(family: Family, budgets: tuple[int, ...], scale: int) -> FamilyCertificates:
+    """One certificate per point of the family's stabilization lattice."""
+    return budgets, [chern_certificate(family, rots, scale) for rots in stabilization_tuples(budgets)]
 
 
 def universal_tightness_tag(cert: ChernCertificate, r: Slope, budgets: tuple[int, ...]) -> UTTag:
     """Tag a certificate as universally tight, not, or an unresolved pair.
 
     `budgets` are the stabilization budgets of the chain behind the
-    certificate's family.  Uniform-sign tuples (every component at an
-    extremal rotation number, all nonzero evaluations sharing one sign)
-    are the candidates; they are definitely universally tight for
-    negative r and for integral positive r, and an unresolved 2-or-4 pair
-    for non-integral positive r.  The standard-background family is
-    always virtually overtwisted.
+    certificate's family, L′ first for positive r.  Uniform-sign tuples
+    (every component at an extremal rotation number, all nonzero
+    evaluations sharing one sign) are the candidates; they are definitely
+    universally tight for negative r and for integral positive r, and an
+    unresolved 2-or-4 pair for non-integral positive r.  The
+    standard-background family is always virtually overtwisted.
     """
     if cert.family is Family.PSI_STD:
         return UTTag.NO
-    f = r.as_fraction()
-    rots = [e / cert.scale for e in cert.evaluations]
+    rots = [e // cert.scale for e in cert.evaluations]
     if cert.family is Family.POSITIVE_R:
-        rots = rots[1:]  # the sign on L′ does not affect universal tightness
+        # the sign on L′ does not affect universal tightness
+        rots, budgets = rots[1:], budgets[1:]
     extremal = all(abs(rot) == b for rot, b in zip(rots, budgets))
     signs = {1 if rot > 0 else -1 for rot in rots if rot != 0}
     if not extremal or len(signs) > 1:
         return UTTag.NO
-    if f < 0 or f.denominator == 1:
+    if r.num < 0 or r.den == 1:
         return UTTag.YES
     return UTTag.CANDIDATE_PAIR
 
@@ -245,10 +212,15 @@ def enumerate_structures(r: Slope) -> list[ContactStructureCert]:
     if not in_classified_range(f):
         raise ValueError(f"coefficient {r} is outside the classified range")
     if f > 0:
-        families = [_positive_certificates(f)]
+        l_budgets = () if f == 1 else chain_budgets(1 / (1 - f))  # at r = 1, L is erased
+        families = [_certificates(Family.POSITIVE_R, L_PRIME_BUDGETS + l_budgets, 1)]
     else:
-        families = [_psi_certificates(f)] if f < -3 else []
-        families.append(_phi_certificates(f))
+        families = [_certificates(Family.PSI_STD, chain_budgets(f + 3), 1)] if f < -3 else []
+        n = math.floor(f)
+        # The two integral candidate surgeries give isotopic structures, so
+        # there the family is the single fixed point of the sign involution.
+        budgets = (0,) if f.denominator == 1 else phi_family_budgets(f, n)
+        families.append(_certificates(Family.PHI_OVERTWISTED, budgets, abs(n)))
     return [
         ContactStructureCert(
             certificate=c,

@@ -36,6 +36,9 @@ from .torus_dynamics import (
     thicken_path,
 )
 
+# `enumerate` materializes every certificate, so it refuses larger counts.
+ENUMERATE_LIMIT = 1_000_000
+
 COUNT_WORDS = {
     CountKind.FINITE: "finite",
     CountKind.INFINITE: "infinite",
@@ -138,9 +141,14 @@ def _format_count(r: Slope) -> str:
 
 
 def _cmd_enumerate(args: argparse.Namespace, out) -> int:
-    result = classify(args.r)
-    if result.count.kind is not CountKind.FINITE:
+    count = tight_count(args.r)
+    if count.kind is not CountKind.FINITE:
         raise ValueError(f"coefficient {args.r} is outside the classified range")
+    if count.value > ENUMERATE_LIMIT:
+        raise ValueError(
+            f"coefficient {args.r} has {count.value} tight structures; enumerate lists at most {ENUMERATE_LIMIT}"
+        )
+    result = classify(args.r)
     if args.as_json:
         print(json.dumps(result_as_json(result)), file=out)
         return 0

@@ -3,23 +3,31 @@
 Negative contact surgery on a Legendrian knot unrolls into a chain of
 Legendrian surgeries: expand the coefficient as [r0, ..., rn] in standard
 negative continued fraction form, stabilize the knot |r0+1| times, then
-each successive push-off |ri+2| times.  Which way each stabilization goes
-is a free choice, and the resulting rotation numbers, scaled into Chern
-class evaluations, certify that the contact structures built from
-different choices are pairwise distinct.  The budgets are read off one
-expansion (`chain_budgets`) and the chain carries them from then on.
+each successive push-off |ri+2| times.  A push-off keeps the invariants
+of its predecessor, so the chain is exactly its budget tuple, read off
+one expansion (`chain_budgets`).  Which way each stabilization goes is a
+free choice, and the resulting rotation numbers, scaled into Chern class
+evaluations (⟨c₁, h⟩ = rot for Legendrian surgery), certify that the
+contact structures built from different choices are pairwise distinct.
 
-Only the three base knots the classification needs are modeled (all genus
-one or unknotted): the standard tb = −3 figure-eight, the virtual rot = 0
-knot whose stabilizations are its approximations in an overtwisted
-background, and the linked pair behind the positive-coefficient
-construction.
+Only the base knots the classification needs are modeled, each given by
+its (tb, rot):
+
+- the standard figure-eight, (−3, 0);
+- the virtual knot whose stabilizations are the approximations in an
+  overtwisted background, (1, 0);
+- the linked pair behind the positive-coefficient construction: L,
+  (−1, 0), carrying the r-dependent contact coefficient, and L′, (1, 0),
+  always carrying contact −2.
+
+Every base rotation number is 0 and a stabilization shifts it by ±1, so
+rotation numbers and evaluations are integers throughout.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -33,48 +41,6 @@ class Family(Enum):
 
 
 @dataclass(frozen=True)
-class LegendrianComponent:
-    """One chain component: classical invariants plus its stabilization budget.
-
-    `tb` and `base_rot` may be rational for rationally null-homologous
-    knots; stabilizing shifts the rotation number by ±1 either way.
-    """
-
-    tb: Fraction
-    base_rot: Fraction
-    stab_budget: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tb", Fraction(self.tb))
-        object.__setattr__(self, "base_rot", Fraction(self.base_rot))
-        if self.stab_budget < 0:
-            raise ValueError("stabilization budget cannot be negative")
-
-    def rot_choices(self) -> list[Fraction]:
-        """Reachable rotation numbers: base − b, base − b + 2, ..., base + b."""
-        b = self.stab_budget
-        return [self.base_rot - b + 2 * j for j in range(b + 1)]
-
-
-@dataclass(frozen=True)
-class LegendrianChain:
-    """The components of one unrolled surgery; built by `ding_geiges`."""
-
-    components: tuple[LegendrianComponent, ...]
-
-    @property
-    def budgets(self) -> tuple[int, ...]:
-        return tuple(c.stab_budget for c in self.components)
-
-
-@dataclass(frozen=True)
-class StabilizationTuple:
-    """One rotation number per chain component."""
-
-    rots: tuple[Fraction, ...]
-
-
-@dataclass(frozen=True)
 class ChernCertificate:
     """Distinguishing invariant of one contact structure.
 
@@ -83,44 +49,18 @@ class ChernCertificate:
     """
 
     family: Family
-    evaluations: tuple[Fraction, ...]
+    evaluations: tuple[int, ...]
     scale: int
 
 
-def figure_eight_standard() -> LegendrianComponent:
-    """The maximal-tb Legendrian figure-eight in the standard tight structure."""
-    return LegendrianComponent(tb=Fraction(-3), base_rot=Fraction(0), stab_budget=0)
-
-
-def positive_surgery_pair() -> tuple[LegendrianComponent, LegendrianComponent]:
-    """The linked pair (L, L′) behind the positive-coefficient construction.
-
-    L is an unknotted component with (tb, rot) = (−1, 0) carrying the
-    r-dependent contact coefficient; L′ has (tb, rot) = (1, 0) and always
-    carries contact coefficient −2.
-    """
-    l_component = LegendrianComponent(tb=Fraction(-1), base_rot=Fraction(0), stab_budget=0)
-    l_prime = LegendrianComponent(tb=Fraction(1), base_rot=Fraction(0), stab_budget=0)
-    return l_component, l_prime
-
-
-def ding_geiges(r: Fraction | int, base: LegendrianComponent) -> LegendrianChain:
-    """Unroll contact r-surgery (r < 0) on `base` into a Legendrian chain.
-
-    Component 0 keeps the base knot's invariants; each later component is
-    a push-off of its predecessor.  The budgets are `chain_budgets(r)`.
-    """
-    return LegendrianChain(tuple(replace(base, stab_budget=b) for b in chain_budgets(r)))
-
-
-def stabilization_tuples(chain: LegendrianChain) -> list[StabilizationTuple]:
+def stabilization_tuples(budgets: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Every way to spend the budgets, as per-component rotation numbers.
 
-    Components choose independently, so the list has Π(budget + 1)
-    entries, ordered lattice-fashion with each slot ascending.
+    A component with budget b reaches −b, −b + 2, ..., b.  Components
+    choose independently, so the list has Π(b + 1) entries, ordered
+    lattice-fashion with each slot ascending.
     """
-    choices = [component.rot_choices() for component in chain.components]
-    return [StabilizationTuple(tuple(combo)) for combo in itertools.product(*choices)]
+    return list(itertools.product(*(range(-b, b + 1, 2) for b in budgets)))
 
 
 def _contact_expansion(r_contact: Fraction | int) -> NegContinuedFraction:
@@ -145,14 +85,14 @@ def choice_count(r_contact: Fraction | int) -> int:
     return standard_product(_contact_expansion(r_contact))
 
 
-def phi_family_chain(r: Fraction, n: int) -> LegendrianChain:
-    """The chain whose stabilizations distinguish the overtwisted-background structures.
+def phi_family_budgets(r: Fraction, n: int) -> tuple[int, ...]:
+    """The budgets whose stabilizations distinguish the overtwisted-background structures.
 
     For non-integral r in the window (n, n+1) with n ≤ −1, the two
-    candidate knots arise as the stabilizations of a virtual rot = 0 knot,
-    so the whole family is the stabilization lattice of the chain for
-    contact −1/(1−s)-surgery on that virtual base, where s = n + 1 − r.
-    The first budget is then at least 1 and the lattice has Φ(r) entries.
+    candidate knots arise as the stabilizations of the virtual knot, so
+    the whole family is the stabilization lattice of the chain for
+    contact −1/(1−s)-surgery on it, where s = n + 1 − r.  The first
+    budget is then at least 1 and the lattice has Φ(r) entries.
     """
     r = Fraction(r)
     if r.denominator == 1:
@@ -162,11 +102,10 @@ def phi_family_chain(r: Fraction, n: int) -> LegendrianChain:
     if not n < r < n + 1:
         raise ValueError(f"{r} is not in the window ({n}, {n + 1})")
     s = n + 1 - r
-    virtual_base = LegendrianComponent(tb=Fraction(1), base_rot=Fraction(0), stab_budget=0)
-    return ding_geiges(-1 / (1 - s), virtual_base)
+    return chain_budgets(-1 / (1 - s))
 
 
-def chern_certificate(family: Family, tup: StabilizationTuple, scale: int) -> ChernCertificate:
+def chern_certificate(family: Family, rots: tuple[int, ...], scale: int) -> ChernCertificate:
     """Scale a rotation tuple into Chern evaluations.
 
     The scale is the homology order |n| for the overtwisted-background
@@ -176,7 +115,7 @@ def chern_certificate(family: Family, tup: StabilizationTuple, scale: int) -> Ch
         raise ValueError("scale must be positive")
     if family is not Family.PHI_OVERTWISTED and scale != 1:
         raise ValueError(f"family {family.value} does not scale evaluations")
-    return ChernCertificate(family, tuple(scale * rot for rot in tup.rots), scale)
+    return ChernCertificate(family, tuple(scale * rot for rot in rots), scale)
 
 
 def smooth_framing_check(r: Fraction | int) -> bool:

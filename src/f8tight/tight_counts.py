@@ -124,17 +124,6 @@ def solid_torus_spec(meridian: Slope, dividing: Slope) -> SolidTorusSpec:
     return SolidTorusSpec(meridian, dividing, UnimodularMatrix.translation(k) @ base, k)
 
 
-def basic_slice_count(s0: Slope, s1: Slope) -> int:
-    """Tight structures on a single basic slice: always two.
-
-    The boundary slopes must span a Farey edge; anything else is not a
-    basic slice.
-    """
-    if not is_farey_adjacent(s0, s1):
-        raise ValueError(f"slopes {s0}, {s1} are not Farey-adjacent")
-    return 2
-
-
 def _greedy_staircase(s1: Slope, s0: Slope, side: AttachSide, cap: int) -> list[Slope]:
     """Maximal-jump Farey path from s1 to s0, sweeping one fixed way."""
     path = [s1]

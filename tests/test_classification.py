@@ -344,6 +344,21 @@ def test_classify_expands_each_chain_once(monkeypatch, r):
     assert len(calls) <= 2 and len(set(calls)) == len(calls), calls
 
 
+@pytest.mark.parametrize(
+    "r",
+    [
+        Fraction(-9, 2), Fraction(-5), Fraction(-3), Fraction(1), Fraction(3),
+        Fraction(7, 3), Fraction(18, 5), Fraction(-13, 5), Fraction(-68111, 6930),
+    ],
+)
+def test_evaluations_are_ints(r):
+    # Fraction(5) == 5, so the frozen enumerations above cannot see the type.
+    result = classify(from_rational(r))
+    assert result.structures
+    for c in result.structures:
+        assert all(type(e) is int for e in c.certificate.evaluations), c
+
+
 def test_infinity_is_a_domain_error_naming_the_coefficient():
     for call in (tight_count, enumerate_structures, classify):
         with pytest.raises(ValueError, match="coefficient inf is not finite: r-surgery needs a finite r"):

@@ -19,7 +19,14 @@ import pytest
 
 from f8tight import Slope, classify, tight_count
 from f8tight.classification import CountKind, result_as_json
+from f8tight import cli
 from f8tight.cli import run
+
+
+def src_env() -> dict[str, str]:
+    """The environment with this checkout's `src` first on PYTHONPATH, for subprocesses."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def run_cli(*argv: str) -> tuple[int, str]:
@@ -162,6 +169,30 @@ def test_enumerate_outside_range(capsys):
         assert capsys.readouterr().err.startswith("domain error:")
 
 
+def test_enumerate_refuses_counts_above_the_limit(capsys, monkeypatch):
+    # 319,314,893,760 structures: refused from the count alone, before any
+    # certificate is built.  The message names the reduced coefficient.
+    code, text = run_cli("enumerate", "-123456789012345/987654321")
+    assert (code, text) == (3, "")
+    assert capsys.readouterr().err == (
+        "domain error: coefficient -41152263004115/329218107 has 319314893760 tight structures; "
+        "enumerate lists at most 1000000\n"
+    )
+
+    monkeypatch.setattr(cli, "ENUMERATE_LIMIT", 3)
+    code, text = run_cli("enumerate", "-9/2")
+    assert (code, text) == (3, "")
+    assert capsys.readouterr().err == (
+        "domain error: coefficient -9/2 has 4 tight structures; enumerate lists at most 3\n"
+    )
+
+    monkeypatch.setattr(cli, "ENUMERATE_LIMIT", 4)
+    code, text = run_cli("enumerate", "-9/2")
+    assert code == 0
+    assert text.splitlines()[2] == "count finite 4"
+    assert len(text.splitlines()) == 3 + 4
+
+
 def test_table_command():
     code, text = run_cli("table", "--from", "-6", "--to", "-4")
     assert code == 0
@@ -204,6 +235,7 @@ def test_main_subprocess_roundtrip():
         [sys.executable, "-c", script, "count", "-5"],
         capture_output=True,
         text=True,
+        env=src_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout == "finite 3\n"
@@ -212,14 +244,14 @@ def test_main_subprocess_roundtrip():
         [sys.executable, "-c", script, "enumerate", "1/2"],
         capture_output=True,
         text=True,
+        env=src_env(),
     )
     assert proc.returncode == 3
     assert proc.stderr.startswith("domain error:")
 
 
 def test_module_entry_point():
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = src_env()
     for module in ("f8tight.cli", "f8tight"):
         proc = subprocess.run(
             [sys.executable, "-m", module, "count", "-9/2"],

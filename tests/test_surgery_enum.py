@@ -1,4 +1,4 @@
-"""Legendrian chains, stabilization lattices, and framing checks.
+"""Chain budgets, stabilization lattices, and framing checks.
 
 The budget arithmetic is pinned against the digit products from the
 continued-fraction module, which the cfrac tests already certified
@@ -17,43 +17,25 @@ from hypothesis import strategies as st
 from f8tight import (
     ChernCertificate,
     Family,
-    LegendrianComponent,
-    StabilizationTuple,
     chern_certificate,
     choice_count,
-    ding_geiges,
     neg_cfrac,
     phi,
-    phi_family_chain,
+    phi_family_budgets,
     psi,
     smooth_framing_check,
     stabilization_tuples,
 )
 from f8tight.cfrac import standard_product
-from f8tight.surgery_enum import chain_budgets, figure_eight_standard, positive_surgery_pair
+from f8tight.surgery_enum import chain_budgets
 
 negative_coefficients = st.fractions(min_value=-30, max_value=Fraction(-1, 30), max_denominator=30)
 unit_interval = st.fractions(min_value=0, max_value=1, max_denominator=20).filter(lambda s: s > 0)
 
 
-def test_base_knots_frozen():
-    fig8 = figure_eight_standard()
-    assert (fig8.tb, fig8.base_rot, fig8.stab_budget) == (-3, 0, 0)
-    l_component, l_prime = positive_surgery_pair()
-    assert (l_component.tb, l_component.base_rot) == (-1, 0)
-    assert (l_prime.tb, l_prime.base_rot) == (1, 0)
-
-
-def test_component_validation():
-    with pytest.raises(ValueError):
-        LegendrianComponent(tb=Fraction(-1), base_rot=Fraction(0), stab_budget=-1)
-
-
 def test_rot_choices_form_the_stabilization_lattice():
-    component = LegendrianComponent(tb=Fraction(-3), base_rot=Fraction(1, 2), stab_budget=3)
-    assert component.rot_choices() == [
-        Fraction(-5, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(7, 2)
-    ]
+    assert stabilization_tuples((3,)) == [(-3,), (-1,), (1,), (3,)]
+    assert stabilization_tuples(()) == [()]
 
 
 @pytest.mark.parametrize(
@@ -70,56 +52,39 @@ def test_rot_choices_form_the_stabilization_lattice():
 )
 def test_chain_budget_table(r, budgets):
     assert chain_budgets(r) == budgets
-    chain = ding_geiges(r, figure_eight_standard())
-    assert tuple(c.stab_budget for c in chain.components) == chain.budgets == budgets
 
 
 def test_ding_geiges_rejects_nonnegative_coefficients():
     for r in (0, Fraction(1, 2), 3):
         with pytest.raises(ValueError):
-            ding_geiges(r, figure_eight_standard())
-        with pytest.raises(ValueError):
             chain_budgets(r)
 
 
-@given(negative_coefficients)
-def test_push_offs_inherit_the_base_invariants(r):
-    base = figure_eight_standard()
-    chain = ding_geiges(r, base)
-    for component in chain.components:
-        assert component.tb == base.tb
-        assert component.base_rot == base.base_rot
-
-
 def test_stabilization_tuples_frozen_example():
-    chain = ding_geiges(Fraction(-3, 2), figure_eight_standard())
-    tuples = stabilization_tuples(chain)
-    assert [t.rots for t in tuples] == [(-1, 0), (1, 0)]
+    tuples = stabilization_tuples(chain_budgets(Fraction(-3, 2)))
+    assert tuples == [(-1, 0), (1, 0)]
 
 
 def test_positive_window_tuples_frozen():
-    l_component, _ = positive_surgery_pair()
     r = Fraction(7, 3)
-    chain = ding_geiges(1 / (1 - r), l_component)
-    tuples = stabilization_tuples(chain)
-    assert [t.rots for t in tuples] == [(0, -2), (0, 0), (0, 2)]
+    tuples = stabilization_tuples(chain_budgets(1 / (1 - r)))
+    assert tuples == [(0, -2), (0, 0), (0, 2)]
 
 
 @given(negative_coefficients)
 def test_tuple_count_matches_the_digit_product(r):
-    chain = ding_geiges(r, figure_eight_standard())
-    tuples = stabilization_tuples(chain)
+    tuples = stabilization_tuples(chain_budgets(r))
     assert len(tuples) == choice_count(r) == standard_product(neg_cfrac(r))
     assert len(set(tuples)) == len(tuples)
 
 
 @given(negative_coefficients)
 def test_tuple_parity_is_fixed_by_the_budget(r):
-    chain = ding_geiges(r, figure_eight_standard())
-    for tup in stabilization_tuples(chain):
-        for rot, component in zip(tup.rots, chain.components):
-            assert (rot - component.base_rot - component.stab_budget) % 2 == 0
-            assert abs(rot - component.base_rot) <= component.stab_budget
+    budgets = chain_budgets(r)
+    for tup in stabilization_tuples(budgets):
+        for rot, b in zip(tup, budgets):
+            assert (rot - b) % 2 == 0
+            assert abs(rot) <= b
 
 
 @given(unit_interval)
@@ -142,24 +107,24 @@ def test_phi_family_size(n, t):
     if t in (0, 1):
         return
     r = n + t
-    tuples = stabilization_tuples(phi_family_chain(r, n))
+    tuples = stabilization_tuples(phi_family_budgets(r, n))
     assert len(tuples) == phi(r)
     assert len(set(tuples)) == len(tuples)
 
 
 def test_phi_family_rejects_bad_windows():
     with pytest.raises(ValueError):
-        phi_family_chain(Fraction(-2), -2)
+        phi_family_budgets(Fraction(-2), -2)
     with pytest.raises(ValueError):
-        phi_family_chain(Fraction(1, 2), 0)
+        phi_family_budgets(Fraction(1, 2), 0)
     with pytest.raises(ValueError):
-        phi_family_chain(Fraction(-5, 2), -4)
+        phi_family_budgets(Fraction(-5, 2), -4)
 
 
 def test_chern_certificate_scaling():
-    tup = StabilizationTuple((Fraction(-1), Fraction(1)))
+    tup = (-1, 1)
     cert = chern_certificate(Family.PHI_OVERTWISTED, tup, 5)
-    assert cert == ChernCertificate(Family.PHI_OVERTWISTED, (Fraction(-5), Fraction(5)), 5)
+    assert cert == ChernCertificate(Family.PHI_OVERTWISTED, (-5, 5), 5)
     unscaled = chern_certificate(Family.PSI_STD, tup, 1)
     assert unscaled.evaluations == (-1, 1)
     with pytest.raises(ValueError):

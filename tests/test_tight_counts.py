@@ -24,7 +24,6 @@ from f8tight import (
     Slope,
     UnimodularMatrix,
     apply_unimodular,
-    basic_slice_count,
     descent_path,
     det,
     enumerate_sign_sequences,
@@ -89,13 +88,6 @@ slopes = st.one_of(
     st.just(INFINITY),
     st.fractions(min_value=-12, max_value=12, max_denominator=8).map(from_rational),
 )
-
-
-def test_basic_slice_count_is_two_on_edges():
-    assert basic_slice_count(Slope(0, 1), INFINITY) == 2
-    assert basic_slice_count(Slope(-1, 2), Slope(-1, 3)) == 2
-    with pytest.raises(ValueError):
-        basic_slice_count(Slope(0, 1), Slope(5, 2))
 
 
 def test_chain_validation():
