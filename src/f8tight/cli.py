@@ -107,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("window", help="admissible neighbor slopes of a coefficient")
     p.add_argument("r", type=parse_slope)
     p.add_argument("--bound", type=int, required=True)
-    p.set_defaults(func=_show(lambda a: " ".join(str(s) for s in slopes_in_window(SlopeWindow(a.r, a.bound)))))
+    p.set_defaults(func=_show(lambda a: " ".join(map(str, slopes_in_window(SlopeWindow(a.r, a.bound))))))
 
     p = sub.add_parser("solid-torus", help="tight-structure count on a solid torus")
     p.add_argument("--meridian", type=parse_slope, required=True)

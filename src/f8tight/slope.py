@@ -20,10 +20,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cmp_to_key
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Slope:
     """A reduced extended rational p/q; q = 0 only for the canonical ∞ = 1/0."""
 
@@ -54,11 +53,9 @@ class Slope:
         return Slope(-self.num, self.den)
 
     def __str__(self) -> str:
-        if self.is_infinity:
-            return "inf"
         if self.den == 1:
             return str(self.num)
-        return f"{self.num}/{self.den}"
+        return f"{self.num}/{self.den}" if self.den else "inf"
 
 
 INFINITY = Slope(1, 0)
@@ -183,52 +180,57 @@ def in_arc(x: Slope, arc: SlopeArc) -> bool:
     return orientation(arc.start, x, arc.stop) == arc.direction.sign
 
 
-def _arc_position_cmp(arc: SlopeArc):
-    """Comparator ordering slopes by how far along the arc they sit."""
-
-    def cmp(x: Slope, y: Slope) -> int:
-        if x == y:
-            return 0
-        if x == arc.start or y == arc.stop:
-            return -1
-        if y == arc.start or x == arc.stop:
-            return 1
-        return -1 if orientation(arc.start, x, y) == arc.direction.sign else 1
-
-    return cmp_to_key(cmp)
-
-
 def neighbors_in_arc(s: Slope, arc: SlopeArc, max_denominator: int) -> list[Slope]:
     """All Farey neighbors of s on the arc with denominator ≤ max_denominator.
 
-    Sorted by position along the arc.  The neighbors of ∞ are exactly the
-    integers, so an arc touching ∞ holds infinitely many of them regardless
-    of any denominator bound; that request is refused loudly.
+    Ordered by position along the arc.  The neighbors are (u + k·p, v + k·q)
+    with k increasing clockwise from s (`basis_completion`), so the arc is
+    one range of k, or two when it runs through s itself, cut where the
+    sweep passes its endpoints; the list comes out in k order, and no two
+    slopes are ever compared.  The neighbors of ∞ are exactly the integers,
+    so an arc touching ∞ holds infinitely many of them regardless of any
+    denominator bound; that request is refused loudly.
     """
     if max_denominator < 1:
         raise ValueError("max_denominator must be at least 1")
-    if s.is_infinity:
-        if arc.start.is_infinity or arc.stop.is_infinity or in_arc(INFINITY, arc):
+    # A counterclockwise arc holds the clockwise arc from its stop to its
+    # start, read backwards.
+    clockwise = arc.direction is Direction.CLOCKWISE
+    keep_start, keep_stop = arc.openness is Openness.CLOSED, arc.openness is not Openness.OPEN
+    first, last = (arc.start, arc.stop) if clockwise else (arc.stop, arc.start)
+    keep_first, keep_last = (keep_start, keep_stop) if clockwise else (keep_stop, keep_start)
+    u, v = basis_completion(s)
+    p, q = s.num, s.den
+    # The sweep passes a slope t ≠ s at the real parameter below (an integer
+    # exactly when t is a neighbor); an end at s is the sweep's own start or
+    # finish, and leaves that side of the range open.
+    lo = None if first == s else Fraction(v * first.num - u * first.den, det(s, first))
+    hi = None if last == s else Fraction(v * last.num - u * last.den, det(s, last))
+    wraps = lo is not None and hi is not None and lo > hi
+    k_first = None if lo is None else (math.ceil(lo) if keep_first else math.floor(lo) + 1)
+    k_last = None if hi is None else (math.floor(hi) if keep_last else math.ceil(hi) - 1)
+    if q == 0:
+        # s = ∞: the neighbors are the integers k, and no bound applies.
+        if k_first is None or k_last is None or wraps:
             raise ValueError("infinitely many integer neighbors of inf in this arc")
-        lo = min(arc.start.as_fraction(), arc.stop.as_fraction())
-        hi = max(arc.start.as_fraction(), arc.stop.as_fraction())
-        found = [
-            reduce(n, 1)
-            for n in range(math.floor(lo), math.ceil(hi) + 1)
-            if in_arc(reduce(n, 1), arc)
-        ]
+        k_lo, k_hi = k_first, k_last
     else:
-        u, v = basis_completion(s)
-        p, q = s.num, s.den
-        # |v + k·q| ≤ bound pins k to a finite window (q ≥ 1 here).
-        k_lo = math.ceil(Fraction(-max_denominator - v, q))
-        k_hi = math.floor(Fraction(max_denominator - v, q))
-        found = []
-        for k in range(k_lo, k_hi + 1):
-            x = reduce(u + k * p, v + k * q)
-            if in_arc(x, arc):
-                found.append(x)
-    return sorted(found, key=_arc_position_cmp(arc))
+        # |v + k·q| ≤ bound pins k to a finite window.
+        k_lo, k_hi = -((max_denominator + v) // q), (max_denominator - v) // q
+    k_from = k_lo if k_first is None else max(k_first, k_lo)
+    k_to = k_hi if k_last is None else min(k_last, k_hi)
+    # An arc through s runs from k_from to the end of the window, then on
+    # from the start of the window to k_to.
+    ranges = [range(k_from, k_hi + 1), range(k_lo, k_to + 1)] if wraps else [range(k_from, k_to + 1)]
+    # Up to k = turn − 1 the vector has v + k·q ≤ 0 and is negated to give
+    # its slope; q = 1 puts ∞ there, as the vector (−1, 0).
+    turn = -v // q + 1 if q else k_lo
+    found = []
+    for ks in ranges:
+        split = min(max(turn, ks.start), ks.stop)
+        found += [Slope(-u - k * p, -v - k * q) for k in range(ks.start, split)]
+        found += [Slope(u + k * p, v + k * q) for k in range(split, ks.stop)]
+    return found if clockwise else found[::-1]
 
 
 @dataclass(frozen=True)

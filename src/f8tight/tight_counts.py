@@ -16,6 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cfrac import Form, NegContinuedFraction, cfrac_matrix, neg_cfrac, solid_torus_product
 from .slope import (
@@ -25,42 +26,83 @@ from .slope import (
     apply_unimodular,
     basis_completion,
     det,
-    is_farey_adjacent,
 )
 from .torus_dynamics import AttachSide, BypassMove, bypass_step
 
 MINUS_ONE = Slope(-1, 1)
 
+# Longest chain `descent_path` and `induced_chain` build: the edges of a
+# chain are cheap to count, but a caller that spells `slope_path` out pays
+# one slope per edge.
+CHAIN_EDGE_LIMIT = 100_000
+# Most signs `enumerate_sign_sequences` writes out: classes × edges.
+SIGN_LIMIT = 10_000_000
+
 NEGATIVE = "-"
 POSITIVE = "+"
 
 
-@dataclass(frozen=True)
-class BasicSliceChain:
-    """A Farey path of basic slices with its block partition.
+class SliceBlock(NamedTuple):
+    """`size` basic slices whose slopes are start + k·step, k = 0, …, size.
 
-    `blocks` lists the sizes of consecutive runs of edges; edges in one run
-    share a level of the continued-fraction staircase, which is what makes
-    their signs interchangeable.
+    Consecutive slopes of one continued-fraction block differ by the same
+    integer vector, so a block is that arithmetic progression of vectors.
     """
 
-    slope_path: tuple[Slope, ...]
-    blocks: tuple[int, ...]
+    start: Slope
+    step: tuple[int, int]
+    size: int
+
+    @property
+    def end(self) -> Slope:
+        (dp, dq), k = self.step, self.size
+        return Slope(self.start.num + k * dp, self.start.den + k * dq)
+
+
+@dataclass(frozen=True)
+class BasicSliceChain:
+    """A Farey path of basic slices, stored as its continued-fraction blocks.
+
+    Edges in one block share a level of the continued-fraction staircase,
+    which is what makes their signs interchangeable.  `runs` holds one
+    `SliceBlock` per block, so a chain costs O(blocks) however many edges
+    it has; `slope_path` spells the slopes out on demand and `blocks` lists
+    the block sizes.
+    """
+
+    start: Slope
+    runs: tuple[SliceBlock, ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.slope_path:
-            raise ValueError("chain needs at least one slope")
-        for a, b in zip(self.slope_path, self.slope_path[1:]):
-            if not is_farey_adjacent(a, b):
-                raise ValueError(f"chain slopes {a}, {b} are not Farey-adjacent")
-        if any(size < 1 for size in self.blocks):
-            raise ValueError("block sizes must be positive")
-        if sum(self.blocks) != self.edge_count:
-            raise ValueError("blocks must partition the chain edges")
+        at = self.start
+        for run in self.runs:
+            if run.size < 1:
+                raise ValueError("block sizes must be positive")
+            if run.start != at:
+                raise ValueError(f"block starts at {run.start}, but the chain stands at {at}")
+            dp, dq = run.step
+            if abs(at.num * dq - at.den * dp) != 1:
+                raise ValueError(f"step {run.step} from {at} is not a Farey edge")
+            # `end` is a Slope, so it refuses a negative denominator or a
+            # non-canonical ∞; the denominators in between are then positive.
+            at = run.end
+
+    @property
+    def blocks(self) -> tuple[int, ...]:
+        return tuple(run.size for run in self.runs)
 
     @property
     def edge_count(self) -> int:
-        return len(self.slope_path) - 1
+        return sum(run.size for run in self.runs)
+
+    @property
+    def slope_path(self) -> tuple[Slope, ...]:
+        path = [self.start]
+        for run in self.runs:
+            p, q = run.start.num, run.start.den
+            dp, dq = run.step
+            path += [Slope(p + k * dp, q + k * dq) for k in range(1, run.size + 1)]
+        return tuple(path)
 
 
 @dataclass(frozen=True)
@@ -70,7 +112,7 @@ class SignSequence:
     signs: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if any(sign not in (NEGATIVE, POSITIVE) for sign in self.signs):
+        if not {NEGATIVE, POSITIVE}.issuperset(self.signs):
             raise ValueError(f"signs must be drawn from {NEGATIVE}/{POSITIVE}")
 
 
@@ -124,33 +166,31 @@ def solid_torus_spec(meridian: Slope, dividing: Slope) -> SolidTorusSpec:
     return SolidTorusSpec(meridian, dividing, UnimodularMatrix.translation(k) @ base, k)
 
 
-def _greedy_staircase(s1: Slope, s0: Slope, side: AttachSide, cap: int) -> list[Slope]:
-    """Maximal-jump Farey path from s1 to s0, sweeping one fixed way."""
-    path = [s1]
-    while path[-1] != s0:
-        if len(path) > cap:
-            raise RuntimeError(f"no Farey staircase from {s1} to {s0} within {cap} moves")
-        path.append(bypass_step(path[-1], BypassMove(side, s0)))
-    return path
+def _staircase(s1: Slope, s0: Slope) -> tuple[SliceBlock, ...]:
+    """Blocks of the maximal-jump Farey path from s1 to s0, one move per block.
 
-
-def _block_sizes(path: list[Slope]) -> tuple[int, ...]:
-    """Partition the edges of a geodesic into continued-fraction blocks.
-
-    Consecutive edges share a block exactly when the outer two slopes of
-    the triple have determinant ±2, i.e. the middle slope is a pivot both
-    edges fan around.
+    From a slope s, a bypass move toward s0 gives the block's first edge
+    and its step w.  The greedy move keeps repeating w for as long as the
+    path stays short of s0, and the vectors s + k·w reach s0 at the real
+    k = |det(s, s0)| / |det(w, s0)|, so the block has the integer part of
+    that many edges.
     """
-    edges = len(path) - 1
-    if edges == 0:
-        return ()
-    sizes = [1]
-    for i in range(1, edges):
-        if abs(det(path[i - 1], path[i + 1])) == 2:
-            sizes[-1] += 1
-        else:
-            sizes.append(1)
-    return tuple(sizes)
+    side = AttachSide.BACK if s0.as_fraction() < s1.as_fraction() else AttachSide.FRONT
+    runs = []
+    at = s1
+    while at != s0:
+        nxt = bypass_step(at, BypassMove(side, s0))
+        dp, dq = nxt.num - at.num, nxt.den - at.den
+        run = SliceBlock(at, (dp, dq), abs(det(at, s0)) // abs(dp * s0.den - dq * s0.num))
+        runs.append(run)
+        at = run.end
+    return tuple(runs)
+
+
+def _within_limit(chain: BasicSliceChain, name: str) -> BasicSliceChain:
+    if chain.edge_count > CHAIN_EDGE_LIMIT:
+        raise RuntimeError(f"{name} has {chain.edge_count} edges; chains are limited to {CHAIN_EDGE_LIMIT}")
+    return chain
 
 
 def descent_path(s0: Slope, s1: Slope) -> BasicSliceChain:
@@ -164,12 +204,10 @@ def descent_path(s0: Slope, s1: Slope) -> BasicSliceChain:
     factor the layered torus and would spoil the block counts.)
     """
     if s0 == s1:
-        raise ValueError("descent endpoints must differ")
+        raise ValueError(f"descent endpoints must differ, got {s0} twice")
     if s0.is_infinity or s1.is_infinity:
-        raise ValueError("descent endpoints must be finite")
-    side = AttachSide.BACK if s0.as_fraction() < s1.as_fraction() else AttachSide.FRONT
-    path = _greedy_staircase(s1, s0, side, 100_000)
-    return BasicSliceChain(tuple(path), _block_sizes(path))
+        raise ValueError(f"descent endpoints must be finite, got {s0} and {s1}")
+    return _within_limit(BasicSliceChain(s1, _staircase(s1, s0)), f"the Farey staircase from {s1} to {s0}")
 
 
 def enumerate_sign_sequences(chain: BasicSliceChain) -> list[SignSequence]:
@@ -177,8 +215,16 @@ def enumerate_sign_sequences(chain: BasicSliceChain) -> list[SignSequence]:
 
     Within a block only the multiset of signs matters, so the canonical
     form puts every − before every +; a block of m edges contributes m+1
-    choices and the list has the block-product length.
+    choices and the list has the block-product length.  A list of more
+    than `SIGN_LIMIT` signs in all is refused before any is built.
     """
+    count = math.prod(size + 1 for size in chain.blocks)
+    edges = chain.edge_count
+    if count * edges > SIGN_LIMIT:
+        raise ValueError(
+            f"a chain of {edges} edges has {count} sign-sequence classes; "
+            f"listing them takes {count * edges} signs, more than {SIGN_LIMIT}"
+        )
     per_block = [
         [(NEGATIVE,) * minus + (POSITIVE,) * (size - minus) for minus in range(size, -1, -1)]
         for size in chain.blocks
@@ -194,12 +240,14 @@ def induced_chain(spec: SolidTorusSpec) -> BasicSliceChain:
 
     The geodesic runs from the normalized dividing slope down to −1; when
     the two coincide the torus is a single standard neighborhood and the
-    chain has no edges.
+    chain has no edges.  Its block sizes are the solid-torus digits of the
+    reciprocal read backwards: |rn| − 1, then |ri| − 2, zeros dropped.
     """
     c = spec.normalized_dividing
-    if c == MINUS_ONE:
-        return BasicSliceChain((c,), ())
-    return descent_path(MINUS_ONE, c)
+    runs = () if c == MINUS_ONE else _staircase(c, MINUS_ONE)
+    return _within_limit(
+        BasicSliceChain(c, runs), f"the chain of dividing slope {spec.dividing} (meridian {spec.meridian})"
+    )
 
 
 def solid_torus_count(spec: SolidTorusSpec) -> int:

@@ -69,11 +69,11 @@ class ThickeningPath:
         if not (self.reached_minus_three or self.reached_infinity):
             raise ValueError("a completed path must reach -3 or inf")
         visited = self.slopes
-        if len(set(visited)) != len(visited):
+        if len({(s.num, s.den) for s in visited}) != len(visited):
             raise ValueError("thickening path revisits a slope")
+        last = len(visited) - 2
         for i, (a, b) in enumerate(zip(visited, visited[1:])):
-            final_jump = b == INFINITY and i == len(visited) - 2
-            if not is_farey_adjacent(a, b) and not final_jump:
+            if abs(det(a, b)) != 1 and not (i == last and b.is_infinity):
                 raise ValueError(f"non-adjacent consecutive slopes {a}, {b}")
 
     @property
@@ -132,13 +132,46 @@ def has_boundary_parallel_bypass(s: Slope) -> bool:
     return not (p + 4 * q == 1 or p == 1 or p - 4 * q == 1)
 
 
+# Where a thickening walk halts or refuses, as linear conditions a·p + b·q = t
+# on the slope p/q (q > 0 before the walk reaches ∞): −3 (det with −3 is 0),
+# numerator −1, ∞, and the stuck families −(4n−1)/n, 1/n and (4n+1)/n.
+# Only numerator −1 and 1/n were seen to fall strictly inside a run; the
+# rest are listed so that a run is cut wherever the one-move walk checks.
+_WALK_EVENTS = ((1, 3, 0), (1, 0, -1), (0, 1, 0), (1, 4, 1), (1, 0, 1), (1, -4, 1))
+
+
+def _front_run(s: Slope) -> list[Slope]:
+    """The front moves toward 0 from s that repeat the first move's step.
+
+    One bypass move gives the step w, and the walk goes on by +w while it
+    stays short of 0, that is for |p| // |w_p| moves (the vectors s + k·w
+    pass 0 at k = −p / w_p).  The run ends early at its first slope where
+    `thicken_path` halts or refuses, so that slope is checked there.
+    """
+    nxt = bypass_step(s, BypassMove(AttachSide.FRONT, ZERO))
+    p, q = s.num, s.den
+    dp, dq = nxt.num - p, nxt.den - q
+    size = abs(p) // abs(dp) if dp else 1
+    for a, b, t in _WALK_EVENTS:
+        at, per_move = a * p + b * q, a * dp + b * dq
+        if per_move and (t - at) % per_move == 0 and 0 < (t - at) // per_move < size:
+            size = (t - at) // per_move
+    run = [nxt] + [Slope(p + k * dp, q + k * dq) for k in range(2, size)]
+    if size > 1:
+        # only the last slope of a run can be ∞, and its vector may be (−1, 0)
+        end_p, end_q = p + size * dp, q + size * dq
+        run.append(Slope(end_p, end_q) if end_q else INFINITY)
+    return run
+
+
 def thicken_path(s: Slope) -> ThickeningPath:
     """Drive s by front bypass moves of arc slope 0 until −3 or ∞.
 
     A slope −1/n jumps directly to ∞ (its orbit leaves the two-curve
     regime there).  The slope −3 admits no further bypass and ends the
     path with `reached_minus_three` set.  Starting at 0 is rejected;
-    callers substitute a nearby admissible slope first.
+    callers substitute a nearby admissible slope first.  The moves come
+    one run of equal steps at a time (`_front_run`), one bypass move each.
     """
     if s == ZERO:
         raise ValueError("thickening is undefined at 0; substitute a stabilized slope")
@@ -147,7 +180,7 @@ def thicken_path(s: Slope) -> ThickeningPath:
     steps: list[Slope] = []
     current = s
     budget = abs(s.num) + s.den  # paths are no longer than this
-    for _ in range(budget + 1):
+    while len(steps) <= budget:
         if current == MINUS_THREE:
             return ThickeningPath(s, tuple(steps), reached_minus_three=True)
         if current.num == -1:
@@ -157,8 +190,8 @@ def thicken_path(s: Slope) -> ThickeningPath:
             return ThickeningPath(s, tuple(steps), reached_infinity=True)
         if not has_boundary_parallel_bypass(current):
             raise ValueError(f"no bypass available at {current}; slope is outside the admissible window")
-        current = bypass_step(current, BypassMove(AttachSide.FRONT, ZERO))
-        steps.append(current)
+        steps += _front_run(current)
+        current = steps[-1]
     raise RuntimeError(f"thickening of {s} exceeded {budget} moves")
 
 

@@ -1,7 +1,9 @@
-"""The survey script reads the same coefficient sweep as the `table` command."""
+"""The survey scripts: the count survey reads the same coefficient sweep as
+the `table` command, and the thickening survey accounts for every path."""
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import importlib.util
 import io
@@ -9,13 +11,15 @@ import re
 import sys
 from pathlib import Path
 
+from f8tight import SlopeWindow, slopes_in_window
 from f8tight.cli import run
+from f8tight.slope import from_rational
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "survey_counts.py"
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def load_survey(monkeypatch):
-    spec = importlib.util.spec_from_file_location("survey_counts", SCRIPT)
+def load_script(monkeypatch, name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look their module up
     monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
@@ -38,8 +42,26 @@ def test_survey_totals_match_the_table(monkeypatch):
 
     survey = io.StringIO()
     with contextlib.redirect_stdout(survey):
-        assert load_survey(monkeypatch).main(window) == 0
+        assert load_script(monkeypatch, "survey_counts").main(window) == 0
     report = survey.getvalue()
     assert f"coefficients surveyed: {len(rows)}\n" in report
     assert f"certificates: {certificates}  ut-yes {ut}  ut-candidate {cand}  stein-yes {stein}\n" in report
     assert certificates > 0 and ut > 0 and cand > 0
+
+
+def test_thickening_survey_accounts_for_every_path(monkeypatch):
+    survey = load_script(monkeypatch, "thickening_survey")
+    argv = ["--samples", "12", "--bound", "9", "--seed", "5"]
+    coefficients = survey.sample_coefficients(survey.parse_args(argv))
+    walked = sum(len(slopes_in_window(SlopeWindow(from_rational(f), 9))) for f in coefficients)
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert survey.main(argv) == 0
+    report = out.getvalue()
+    assert f"paths run: {walked} from 12 coefficients\n" in report
+    endpoints = ast.literal_eval(re.search(r"^endpoints: (\{.*\})$", report, re.M).group(1))
+    assert set(endpoints) == {"infinity", "minus-three"}
+    assert sum(endpoints.values()) == walked
+    lengths = ast.literal_eval(re.search(r"distribution (\{.*\})$", report, re.M).group(1))
+    assert sum(lengths.values()) == walked

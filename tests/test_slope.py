@@ -8,11 +8,13 @@ against that picture, never against the determinant formulas under test.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from f8tight import (
@@ -33,6 +35,36 @@ from f8tight import (
     reduce,
 )
 from f8tight.slope import basis_completion, from_rational
+
+
+def sorted_filter_neighbors(s: Slope, arc: SlopeArc, max_denominator: int) -> list[Slope]:
+    """Every neighbor of s in the denominator window, kept when `in_arc`
+    holds and sorted along the arc by `orientation` from its start."""
+    if max_denominator < 1:
+        raise ValueError("max_denominator must be at least 1")
+    if s.is_infinity:
+        if arc.start.is_infinity or arc.stop.is_infinity or in_arc(INFINITY, arc):
+            raise ValueError("infinitely many integer neighbors of inf in this arc")
+        lo = min(arc.start.as_fraction(), arc.stop.as_fraction())
+        hi = max(arc.start.as_fraction(), arc.stop.as_fraction())
+        found = [reduce(n, 1) for n in range(math.floor(lo), math.ceil(hi) + 1) if in_arc(reduce(n, 1), arc)]
+    else:
+        u, v = basis_completion(s)
+        k_lo = math.ceil(Fraction(-max_denominator - v, s.den))
+        k_hi = math.floor(Fraction(max_denominator - v, s.den))
+        candidates = (reduce(u + k * s.num, v + k * s.den) for k in range(k_lo, k_hi + 1))
+        found = [x for x in candidates if in_arc(x, arc)]
+
+    def cmp(x: Slope, y: Slope) -> int:
+        if x == y:
+            return 0
+        if x == arc.start or y == arc.stop:
+            return -1
+        if y == arc.start or x == arc.stop:
+            return 1
+        return -1 if orientation(arc.start, x, y) == arc.direction.sign else 1
+
+    return sorted(found, key=cmp_to_key(cmp))
 
 
 def _key(s: Slope) -> tuple[int, Fraction]:
@@ -231,6 +263,41 @@ def test_neighbors_in_arc_matches_brute_force(start, stop, direction, bound):
         return
     got = neighbors_in_arc(start, arc, bound)
     assert got == oracle_neighbors(start, arc, bound)
+
+
+neighbor_index = st.one_of(st.none(), st.integers(-6, 6))
+
+
+@settings(max_examples=300)
+@given(
+    all_slopes,
+    all_slopes,
+    all_slopes,
+    st.booleans(),
+    neighbor_index,
+    neighbor_index,
+    st.sampled_from(list(Direction)),
+    st.sampled_from(list(Openness)),
+    st.integers(1, 40),
+)
+def test_neighbors_in_arc_match_the_sorted_filter(s, start, stop, from_s, start_k, stop_k, direction, openness, bound):
+    # arcs that start at s, or end on a neighbor of s, test the endpoint rules
+    u, v = basis_completion(s)
+    if start_k is not None:
+        start = reduce(u + start_k * s.num, v + start_k * s.den)
+    if stop_k is not None:
+        stop = reduce(u + stop_k * s.num, v + stop_k * s.den)
+    start = s if from_s else start
+    if start == stop:
+        return
+    arc = SlopeArc(start, stop, direction, openness)
+    try:
+        expected = sorted_filter_neighbors(s, arc, bound)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            neighbors_in_arc(s, arc, bound)
+        return
+    assert neighbors_in_arc(s, arc, bound) == expected
 
 
 def test_neighbors_window_example():

@@ -1,9 +1,11 @@
 """Basic-slice chains, solid-torus normalization, and the block-product count.
 
-Two oracles drive this module: a breadth-first search in a denominator-
+Three oracles drive this module: a breadth-first search in a denominator-
 bounded patch of the Farey graph certifies that descent paths are true
-geodesics, and exhaustive sign-sequence enumeration certifies the closed-
-form digit product.
+geodesics, exhaustive sign-sequence enumeration certifies the closed-
+form digit product, and the walk that takes one bypass move per edge and
+splits blocks by the pivot rule certifies the chains built one block at
+a time.
 """
 
 from __future__ import annotations
@@ -18,12 +20,15 @@ from hypothesis import strategies as st
 
 from f8tight import (
     INFINITY,
+    AttachSide,
     BasicSliceChain,
+    BypassMove,
     Form,
     SignSequence,
     Slope,
     UnimodularMatrix,
     apply_unimodular,
+    bypass_step,
     descent_path,
     det,
     enumerate_sign_sequences,
@@ -38,9 +43,12 @@ from f8tight import (
 )
 from f8tight.slope import from_rational
 from f8tight.tight_counts import (
+    CHAIN_EDGE_LIMIT,
     MINUS_ONE,
     NEGATIVE,
     POSITIVE,
+    SIGN_LIMIT,
+    SliceBlock,
     format_sign_sequence,
     induced_chain,
 )
@@ -74,6 +82,23 @@ def interval_bfs_distance(a: Slope, b: Slope) -> int:
     raise AssertionError("oracle patch too small")
 
 
+def stepwise_staircase(s0: Slope, s1: Slope) -> tuple[tuple[Slope, ...], tuple[int, ...]]:
+    """The descent from s1 to s0 one bypass move per edge, cut into blocks by
+    the pivot rule: two edges share a block when the outer slopes of their
+    triple have determinant ±2.  Returns the slopes and the block sizes."""
+    side = AttachSide.BACK if s0.as_fraction() < s1.as_fraction() else AttachSide.FRONT
+    path = [s1]
+    while path[-1] != s0:
+        path.append(bypass_step(path[-1], BypassMove(side, s0)))
+    sizes: list[int] = []
+    for i in range(1, len(path)):
+        if sizes and abs(det(path[i - 2], path[i])) == 2:
+            sizes[-1] += 1
+        else:
+            sizes.append(1)
+    return tuple(path), tuple(sizes)
+
+
 @st.composite
 def close_slope_pairs(draw):
     center = draw(st.integers(-6, 6))
@@ -88,40 +113,50 @@ slopes = st.one_of(
     st.just(INFINITY),
     st.fractions(min_value=-12, max_value=12, max_denominator=8).map(from_rational),
 )
+wide_slopes = st.fractions(min_value=-60, max_value=60, max_denominator=80).map(from_rational)
+normalized_dividing = st.fractions(min_value=-1, max_value=Fraction(-1, 2000), max_denominator=2000)
 
 
 def test_chain_validation():
+    with pytest.raises(ValueError):  # det((0, 1), (5, 2)) = -5
+        BasicSliceChain(Slope(0, 1), (SliceBlock(Slope(0, 1), (5, 2), 1),))
+    with pytest.raises(ValueError):  # the block does not start where the chain stands
+        BasicSliceChain(Slope(0, 1), (SliceBlock(Slope(1, 1), (1, 0), 1),))
     with pytest.raises(ValueError):
-        BasicSliceChain((), ())
-    with pytest.raises(ValueError):
-        BasicSliceChain((Slope(0, 1), Slope(5, 2)), (1,))
-    with pytest.raises(ValueError):
-        BasicSliceChain((Slope(0, 1), Slope(1, 1)), (2,))
-    with pytest.raises(ValueError):
-        BasicSliceChain((Slope(0, 1), Slope(1, 1)), (1, 0))
-    single = BasicSliceChain((Slope(-1, 1),), ())
+        BasicSliceChain(Slope(0, 1), (SliceBlock(Slope(0, 1), (1, 0), 0),))
+    with pytest.raises(ValueError):  # -1 + (0, -1) is the vector (-1, 0), not the slope 1/0
+        BasicSliceChain(Slope(-1, 1), (SliceBlock(Slope(-1, 1), (0, -1), 1),))
+    single = BasicSliceChain(Slope(-1, 1))
     assert single.edge_count == 0
+    assert single.slope_path == (Slope(-1, 1),)
+    assert single.blocks == ()
+
+
+# 0, 1, 2 by the step (1, 0), then 2, 3/2, 4/3 by (1, 1): blocks of 2 and 2
+TWO_BLOCKS = BasicSliceChain(
+    Slope(0, 1), (SliceBlock(Slope(0, 1), (1, 0), 2), SliceBlock(Slope(2, 1), (1, 1), 2))
+)
+
+
+def test_chain_spells_its_blocks():
+    assert TWO_BLOCKS.slope_path == (Slope(0, 1), Slope(1, 1), Slope(2, 1), Slope(3, 2), Slope(4, 3))
+    assert TWO_BLOCKS.blocks == (2, 2)
+    assert TWO_BLOCKS.edge_count == 4
 
 
 def test_sign_sequence_validation_and_format():
     with pytest.raises(ValueError):
         SignSequence(("-", "x"))
-    chain = BasicSliceChain(
-        (Slope(0, 1), Slope(1, 1), INFINITY, Slope(-1, 1), Slope(-2, 1)), (2, 2)
-    )
     seq = SignSequence((NEGATIVE, POSITIVE, NEGATIVE, NEGATIVE))
-    assert format_sign_sequence(seq, chain) == "-+|--"
+    assert format_sign_sequence(seq, TWO_BLOCKS) == "-+|--"
 
 
 def test_enumeration_is_canonical_and_complete():
-    chain = BasicSliceChain(
-        (Slope(0, 1), Slope(1, 1), INFINITY, Slope(-1, 1), Slope(-2, 1)), (2, 2)
-    )
-    seqs = enumerate_sign_sequences(chain)
+    seqs = enumerate_sign_sequences(TWO_BLOCKS)
     assert len(seqs) == 9
     assert len(set(seqs)) == 9
     for seq in seqs:
-        assert "+-" not in format_sign_sequence(seq, chain).replace("|", " ")
+        assert "+-" not in format_sign_sequence(seq, TWO_BLOCKS).replace("|", " ")
 
 
 def test_descent_path_frozen_example():
@@ -131,11 +166,11 @@ def test_descent_path_frozen_example():
 
 
 def test_descent_path_rejects_equal_or_infinite_endpoints():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must differ, got 1/2 twice"):
         descent_path(Slope(1, 2), Slope(1, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be finite, got inf and 1/2"):
         descent_path(INFINITY, Slope(1, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be finite, got 1/2 and inf"):
         descent_path(Slope(1, 2), INFINITY)
 
 
@@ -187,6 +222,89 @@ def test_blocks_follow_the_pivot_rule(pair):
         else:
             rebuilt.append(1)
     assert chain.blocks == tuple(rebuilt)
+
+
+@settings(max_examples=200)
+@given(wide_slopes, wide_slopes)
+def test_descent_blocks_match_the_stepwise_walk(a, b):
+    if a == b:
+        return
+    chain = descent_path(a, b)
+    assert (chain.slope_path, chain.blocks) == stepwise_staircase(a, b)
+
+
+@settings(max_examples=200)
+@given(slopes, slopes)
+def test_induced_chain_matches_the_stepwise_walk(meridian, dividing):
+    if meridian == dividing:
+        return
+    spec = solid_torus_spec(meridian, dividing)
+    c = spec.normalized_dividing
+    expected = ((c,), ()) if c == MINUS_ONE else stepwise_staircase(MINUS_ONE, c)
+    chain = induced_chain(spec)
+    assert (chain.slope_path, chain.blocks) == expected
+
+
+@settings(max_examples=100)
+@given(normalized_dividing)
+def test_block_sizes_read_the_solid_torus_digits_backwards(c):
+    chain = induced_chain(solid_torus_spec(INFINITY, from_rational(c)))
+    *inner, last = neg_cfrac(1 / c, Form.SOLID_TORUS).digits
+    sizes = [abs(last) - 1] + [abs(d) - 2 for d in reversed(inner)]
+    assert chain.blocks == tuple(size for size in sizes if size)
+    assert chain.slope_path == stepwise_staircase(MINUS_ONE, from_rational(c))[0]
+
+
+@given(slopes, slopes)
+def test_sign_sequence_classes_count_the_solid_torus(meridian, dividing):
+    if meridian == dividing:
+        return
+    spec = solid_torus_spec(meridian, dividing)
+    assert len(enumerate_sign_sequences(induced_chain(spec))) == solid_torus_count(spec)
+
+
+def test_chain_limit_keeps_its_boundary():
+    assert CHAIN_EDGE_LIMIT == 100_000
+    chain = induced_chain(solid_torus_spec(INFINITY, Slope(-1, 100_001)))
+    assert chain.blocks == (100_000,)
+    assert len(chain.slope_path) == 100_001
+    refused = r"dividing slope -1/100002 \(meridian inf\) has 100001 edges; chains are limited to 100000"
+    with pytest.raises(RuntimeError, match=refused):
+        induced_chain(solid_torus_spec(INFINITY, Slope(-1, 100_002)))
+    with pytest.raises(RuntimeError, match="from -1/100002 to -1 has 100001 edges; chains are limited to 100000"):
+        descent_path(MINUS_ONE, Slope(-1, 100_002))
+
+
+def test_induced_chain_builds_a_slope_per_block_not_per_edge(monkeypatch):
+    spec = solid_torus_spec(INFINITY, Slope(-1, 100_001))
+    built = []
+    original = Slope.__post_init__
+
+    def counted(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(Slope, "__post_init__", counted)
+    chain = induced_chain(spec)
+    monkeypatch.undo()
+    assert chain.edge_count == 100_000
+    assert len(built) < 10
+
+
+def test_sign_sequences_refuse_long_lists_before_building_them(monkeypatch):
+    # one block of 49,999 edges: 50,000 classes of 49,999 signs each
+    chain = induced_chain(solid_torus_spec(INFINITY, Slope(-1, 50_000)))
+    assert chain.blocks == (49_999,)
+    with pytest.raises(ValueError, match="a chain of 49999 edges has 50000 sign-sequence classes"):
+        enumerate_sign_sequences(chain)
+    # the limit counts classes × edges: 5 × 4 signs for one block of 4
+    small = induced_chain(solid_torus_spec(INFINITY, Slope(-1, 5)))
+    monkeypatch.setattr("f8tight.tight_counts.SIGN_LIMIT", 20)
+    assert len(enumerate_sign_sequences(small)) == 5
+    monkeypatch.setattr("f8tight.tight_counts.SIGN_LIMIT", 19)
+    with pytest.raises(ValueError, match="takes 20 signs, more than 19"):
+        enumerate_sign_sequences(small)
+    assert SIGN_LIMIT == 10_000_000
 
 
 @pytest.mark.parametrize(

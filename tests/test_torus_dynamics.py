@@ -2,7 +2,9 @@
 
 Oracle for a single move: list every Farey neighbor of s inside the
 traversal arc (via the already-tested neighbor enumeration) and take the
-one furthest along it.  The closed-form step must agree.
+one furthest along it.  The closed-form step must agree.  Oracle for a
+thickening path: the walk that makes one bypass move per step and checks
+every slope it reaches; the run-at-a-time walk must agree, errors included.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from f8tight import (
@@ -58,9 +60,45 @@ def oracle_bypass(s: Slope, move: BypassMove) -> Slope:
     return neighbors_in_arc(s, arc, s.den + r.den + 2)[-1]
 
 
+def stepwise_thicken(s: Slope) -> ThickeningPath:
+    """Front moves of arc slope 0 one at a time, every slope checked."""
+    if s == ZERO:
+        raise ValueError("thickening is undefined at 0; substitute a stabilized slope")
+    if s.is_infinity:
+        return ThickeningPath(start=s, reached_infinity=True)
+    steps: list[Slope] = []
+    current = s
+    budget = abs(s.num) + s.den
+    for _ in range(budget + 1):
+        if current == MINUS_THREE:
+            return ThickeningPath(s, tuple(steps), reached_minus_three=True)
+        if current.num == -1:
+            steps.append(INFINITY)
+            return ThickeningPath(s, tuple(steps), reached_infinity=True)
+        if current.is_infinity:
+            return ThickeningPath(s, tuple(steps), reached_infinity=True)
+        if not has_boundary_parallel_bypass(current):
+            raise ValueError(f"no bypass available at {current}; slope is outside the admissible window")
+        current = bypass_step(current, BypassMove(AttachSide.FRONT, ZERO))
+        steps.append(current)
+    raise RuntimeError(f"thickening of {s} exceeded {budget} moves")
+
+
+def outcome(func, *args):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return func(*args)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
 finite_slopes = st.fractions(min_value=-30, max_value=30, max_denominator=9).map(from_rational)
 all_slopes = st.one_of(st.just(INFINITY), finite_slopes)
 sides = st.sampled_from(list(AttachSide))
+thickening_starts = st.one_of(
+    st.just(INFINITY),
+    st.fractions(min_value=-400, max_value=400, max_denominator=300).map(from_rational),
+)
 
 
 @pytest.mark.parametrize(
@@ -207,6 +245,27 @@ def test_thicken_path_structure(s):
             assert a.num == -1 or bypass_step(a, BypassMove(AttachSide.FRONT, ZERO)) == INFINITY
         else:
             assert b == bypass_step(a, BypassMove(AttachSide.FRONT, ZERO))
+
+
+@settings(max_examples=400)
+@given(thickening_starts)
+def test_thicken_path_matches_the_stepwise_walk(s):
+    assert outcome(thicken_path, s) == outcome(stepwise_thicken, s)
+
+
+@pytest.mark.parametrize(
+    "start",
+    [
+        Slope(-99_999, 2),
+        Slope(-20_001, 5_000),
+        Slope(99_999, 2),
+        Slope(-1, 7),
+        Slope(-29, 8),  # refused on the way, at -7/2
+        Slope(57, 13),  # refused on the way, at 9/2
+    ],
+)
+def test_long_runs_match_the_stepwise_walk(start):
+    assert outcome(thicken_path, start) == outcome(stepwise_thicken, start)
 
 
 def test_thickening_path_validation():
