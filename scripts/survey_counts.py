@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Survey tight-structure counts over a sweep of surgery coefficients.
 
-Walks every reduced p/q in a window, classifies each, and prints summary
-statistics: how often each geometry shows up, the distribution of counts,
-and the split of certificate tags.  Useful for eyeballing growth rates,
+Walks every reduced p/q in a window and prints summary statistics: how
+often each geometry shows up, the distribution of counts, and the split
+of certificate tags.  Counts and tags are read off the closed-form row
+tallies, so no certificate is built.  Useful for eyeballing growth rates,
 e.g. how the finite counts scale as the denominator bound increases.
 
     python3 scripts/survey_counts.py --from -8 --to 8 --denominator 6
@@ -22,7 +23,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from f8tight import CountKind, SteinTag, UTTag, classify, coefficients_between  # noqa: E402
+from f8tight import CountKind, coefficients_between, geometry_of, row_tallies  # noqa: E402
 
 
 @dataclass(frozen=True)
@@ -59,22 +60,22 @@ def main(argv: list[str] | None = None) -> int:
     rows = []
 
     for r in coefficients:
-        result = classify(r)
-        geometries[result.verdict.value] += 1
-        kinds[result.count.kind.value] += 1
-        if result.count.kind is CountKind.FINITE:
-            finite_counts[result.count.value] += 1
-        for cert in result.structures:
-            tag_totals["certificates"] += 1
-            tag_totals["ut_yes"] += cert.universally_tight is UTTag.YES
-            tag_totals["ut_candidate"] += cert.universally_tight is UTTag.CANDIDATE_PAIR
-            tag_totals["stein_yes"] += cert.stein is SteinTag.YES
+        geometry, tallies = geometry_of(r).value, row_tallies(r)
+        count = tallies.count
+        geometries[geometry] += 1
+        kinds[count.kind.value] += 1
+        if count.kind is CountKind.FINITE:
+            finite_counts[count.value] += 1
+            tag_totals["certificates"] += count.value
+            tag_totals["ut_yes"] += tallies.universally_tight
+            tag_totals["ut_candidate"] += tallies.candidate_pair
+            tag_totals["stein_yes"] += tallies.stein
         rows.append(
             {
-                "coefficient": str(result.coefficient),
-                "geometry": result.verdict.value,
-                "kind": result.count.kind.value,
-                "count": "" if result.count.value is None else result.count.value,
+                "coefficient": str(r),
+                "geometry": geometry,
+                "kind": count.kind.value,
+                "count": "" if count.value is None else count.value,
             }
         )
 

@@ -215,9 +215,13 @@ def phi(r: Fraction | int) -> int:
     """Per-unit-interval structure count: 1 on integers, ≥ 2 elsewhere.
 
     Invariant under r ↦ r + 1: it is the standard product of the
-    expansion of −1/t, t the representative of r mod 1 in (0, 1].
+    expansion of −1/t, t the representative of r mod 1 in (0, 1].  On
+    integers t = 1, whose expansion [−1] has product 1, so nothing is
+    expanded there.
     """
     r = Fraction(r)
+    if r.denominator == 1:
+        return 1
     t = r - math.ceil(r) + 1
     return standard_product(neg_cfrac(-1 / t, Form.STANDARD))
 

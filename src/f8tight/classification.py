@@ -117,16 +117,51 @@ def finite_coefficient(r: Slope) -> Fraction:
     return r.as_fraction()
 
 
+def _least_term_from(x: int, y: int, n: int) -> tuple[int, int]:
+    """The least p/q ≥ x/y with 1 ≤ q ≤ n, for x/y in lowest terms.
+
+    When y > n, x/y lies strictly between Farey neighbours a/b < c/d,
+    which close in on it a run of mediants at a time (its regular
+    continued fraction) until their mediant's denominator b + d passes
+    n.  No fraction strictly between them then has a denominator ≤ n.
+    """
+    if y <= n:
+        return x, y
+    a, b, c, d = x // y, 1, x // y + 1, 1
+    while b + d <= n:
+        # c/d down to the last mediant (c + k·a)/(d + k·b) above x/y, ...
+        k = min((y * c - x * d - 1) // (x * b - y * a), (n - d) // b)
+        c, d = c + k * a, d + k * b
+        # ... then a/b up to the last mediant below it.
+        k = min((x * b - y * a - 1) // (y * c - x * d), (n - b) // d)
+        a, b = a + k * c, b + k * d
+    return c, d
+
+
 def coefficients_between(start: Fraction, stop: Fraction, max_denominator: int) -> list[Slope]:
-    """Every slope p/q in [start, stop] with 1 ≤ q ≤ max_denominator, ascending."""
-    if max_denominator < 1:
+    """Every slope p/q in [start, stop] with 1 ≤ q ≤ max_denominator, ascending.
+
+    These are the terms of the Farey sequence F_n, n = max_denominator,
+    continued over all of Q by integer translation.  Given any a/b with
+    c·b − a·d = 1, the Farey neighbours of c/d above it are
+    (k·c − a)/(k·d − b), and the next term of F_n is the one with the
+    largest denominator ≤ n, k = ⌊(n + b)/d⌋; the previous term c/d then
+    serves as the next a/b.  So the sweep starts from the least term
+    ≥ start and steps in integers, one term per step.
+    """
+    n = max_denominator
+    if n < 1:
         raise ValueError("denominator bound must be positive")
-    seen = set()
-    for q in range(1, max_denominator + 1):
-        for p in range(math.ceil(start * q), math.floor(stop * q) + 1):
-            if math.gcd(abs(p), q) == 1:
-                seen.add(Fraction(p, q))
-    return [Slope(f.numerator, f.denominator) for f in sorted(seen)]
+    c, d = _least_term_from(start.numerator, start.denominator, n)
+    b = pow(c, -1, d)  # c·b ≡ 1 (mod d)
+    a = (c * b - 1) // d
+    x, y = stop.numerator, stop.denominator
+    slopes = []
+    while c * y <= x * d:
+        slopes.append(Slope(c, d))
+        k = (n + b) // d
+        a, b, c, d = c, d, k * c - a, k * d - b
+    return slopes
 
 
 def geometry_of(r: Slope) -> Geometry:
@@ -146,13 +181,52 @@ def tight_count(r: Slope) -> TightCount:
     infinite at the toroidal coefficients, and otherwise a lower bound
     from the same formulas.
     """
+    return row_tallies(r).count
+
+
+@dataclass(frozen=True)
+class RowTallies:
+    """The count of M(r) and, where it is exact, how its structures are tagged.
+
+    On the classified range `universally_tight`, `candidate_pair` and
+    `stein` are the numbers of structures `enumerate_structures` tags
+    UTTag.YES, UTTag.CANDIDATE_PAIR and SteinTag.YES; elsewhere they are
+    None.
+    """
+
+    count: TightCount
+    universally_tight: int | None = None
+    candidate_pair: int | None = None
+    stein: int | None = None
+
+
+def row_tallies(r: Slope) -> RowTallies:
+    """The count and tag tallies of M(r) in closed form, without certificates.
+
+    Φ(r) and Ψ(r) are computed once each.  Only the extremal uniform-sign
+    tuples of a chain are universally tight or candidates: two of them
+    (all at +b or all at −b) when some budget is nonzero, one otherwise.
+    So a negative integer has its one overtwisted-background structure,
+    a negative non-integer the two extremal tuples of its overtwisted
+    family (whose first budget is at least 1), a positive integer the two
+    L′ signs over a chain of zero budgets (1/(1 − r) expands to −1 and
+    then −2s), and a positive non-integer 2 × 2 candidates.  The
+    standard-background family, Ψ(r) structures, is never universally
+    tight and always Stein; the overtwisted-background one is Stein only
+    for r ≥ −9.
+    """
     f = finite_coefficient(r)
     if f in TOROIDAL_COEFFICIENTS:
-        return TightCount(CountKind.INFINITE)
-    formula = 2 * phi(f) if f > 0 else phi(f) + psi(f)
-    if in_classified_range(f):
-        return TightCount(CountKind.FINITE, formula)
-    return TightCount(CountKind.LOWER_BOUND, formula)
+        return RowTallies(TightCount(CountKind.INFINITE))
+    phi_r, psi_r = phi(f), psi(f)
+    total = 2 * phi_r if f > 0 else phi_r + psi_r
+    if not in_classified_range(f):
+        return RowTallies(TightCount(CountKind.LOWER_BOUND, total))
+    if f.denominator == 1:
+        ut, candidates = (1, 0) if f < 0 else (2, 0)
+    else:
+        ut, candidates = (2, 0) if f < 0 else (0, 4)
+    return RowTallies(TightCount(CountKind.FINITE, total), ut, candidates, total if f >= -9 else psi_r)
 
 
 # The certificates of one family come with the chain budgets behind them,

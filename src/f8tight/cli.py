@@ -9,6 +9,7 @@ diagnostic on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -17,11 +18,11 @@ from fractions import Fraction
 from .cfrac import Form, neg_cfrac, phi, psi
 from .classification import (
     CountKind,
-    SteinTag,
-    UTTag,
     classify,
     coefficients_between,
+    geometry_of,
     result_as_json,
+    row_tallies,
     tight_count,
 )
 from .slope import Slope, parse_slope
@@ -63,6 +64,9 @@ def _show(compute):
     return command
 
 
+# Built on the first run() and kept: building the tree costs about twenty
+# times as much as a parse.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="f8tight",
@@ -182,21 +186,19 @@ def _cmd_table(args: argparse.Namespace, out) -> int:
         print("usage error: empty coefficient range", file=sys.stderr)
         return 2
     for r in coefficients:
-        result = classify(r)
-        row = [str(r), result.verdict.value]
-        if result.count.kind is CountKind.INFINITE:
+        tallies = row_tallies(r)
+        count = tallies.count
+        row = [str(r), geometry_of(r).value]
+        if count.kind is CountKind.INFINITE:
             row += ["infinite", "ut -", "cand -", "stein -"]
-        elif result.count.kind is CountKind.LOWER_BOUND:
-            row += [f"lower-bound {result.count.value}", "ut -", "cand -", "stein -"]
+        elif count.kind is CountKind.LOWER_BOUND:
+            row += [f"lower-bound {count.value}", "ut -", "cand -", "stein -"]
         else:
-            yes = sum(1 for c in result.structures if c.universally_tight is UTTag.YES)
-            cand = sum(1 for c in result.structures if c.universally_tight is UTTag.CANDIDATE_PAIR)
-            stein = sum(1 for c in result.structures if c.stein is SteinTag.YES)
             row += [
-                f"finite {result.count.value}",
-                f"ut {yes}",
-                f"cand {cand}",
-                f"stein {stein}/{len(result.structures)}",
+                f"finite {count.value}",
+                f"ut {tallies.universally_tight}",
+                f"cand {tallies.candidate_pair}",
+                f"stein {tallies.stein}/{count.value}",
             ]
         print("  ".join(row), file=out)
     return 0

@@ -8,6 +8,7 @@ involution and the JSON serialization act on a full enumeration.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,7 @@ from f8tight import (
     involution,
     phi,
     psi,
+    row_tallies,
     tight_count,
 )
 from f8tight import cfrac, surgery_enum
@@ -369,5 +371,74 @@ def test_coefficients_between():
     window = coefficients_between(Fraction(-1), Fraction(1, 2), 3)
     assert [str(s) for s in window] == ["-1", "-2/3", "-1/2", "-1/3", "0", "1/3", "1/2"]
     assert coefficients_between(Fraction(1, 3), Fraction(2, 5), 2) == []
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="denominator bound must be positive"):
         coefficients_between(Fraction(0), Fraction(1), 0)
+
+
+def sweep_by_denominators(start: Fraction, stop: Fraction, max_denominator: int) -> list[Slope]:
+    """Oracle for `coefficients_between`: every p/q per denominator, deduplicated and sorted."""
+    seen = set()
+    for q in range(1, max_denominator + 1):
+        for p in range(math.ceil(start * q), math.floor(stop * q) + 1):
+            if math.gcd(abs(p), q) == 1:
+                seen.add(Fraction(p, q))
+    return [Slope(f.numerator, f.denominator) for f in sorted(seen)]
+
+
+@given(
+    st.fractions(min_value=-40, max_value=40, max_denominator=60),
+    st.fractions(min_value=-3, max_value=12, max_denominator=60),
+    st.integers(1, 25),
+)
+def test_coefficients_between_matches_the_denominator_sweep(start, width, n):
+    # A negative width gives an empty window, and start may carry a
+    # denominator above the bound, where the sweep starts past it.
+    stop = start + width
+    assert coefficients_between(start, stop, n) == sweep_by_denominators(start, stop, n)
+
+
+def enumerated_tallies(r: Slope) -> tuple[int, int, int, int]:
+    certs = enumerate_structures(r)
+    tags = [c.universally_tight for c in certs]
+    stein = sum(1 for c in certs if c.stein is SteinTag.YES)
+    return len(certs), tags.count(UTTag.YES), tags.count(UTTag.CANDIDATE_PAIR), stein
+
+
+def test_row_tallies_match_the_enumeration():
+    finite = 0
+    for r in coefficients_between(Fraction(-30), Fraction(30), 8):
+        tallies = row_tallies(r)
+        assert tallies.count == tight_count(r)
+        if tallies.count.kind is not CountKind.FINITE:
+            assert (tallies.universally_tight, tallies.candidate_pair, tallies.stein) == (None, None, None), r
+            continue
+        finite += 1
+        closed_form = (tallies.count.value, tallies.universally_tight, tallies.candidate_pair, tallies.stein)
+        assert closed_form == enumerated_tallies(r), r
+    assert finite == 1255
+
+
+@pytest.mark.parametrize(
+    "r",
+    [
+        Fraction(-68111, 6930), Fraction(-9, 2), Fraction(-10), Fraction(-5), Fraction(-7, 2), Fraction(-13, 5),
+        Fraction(-1), Fraction(1), Fraction(1, 2), Fraction(7, 3), Fraction(3), Fraction(0),
+    ],
+)
+def test_row_tallies_expand_each_input_once(monkeypatch, r):
+    # Φ expands −1/t (t the representative of r mod 1 in (0, 1), nothing
+    # on integers) and Ψ expands r + 3, below −3 only; the Stein tally
+    # reuses Ψ.
+    original = cfrac.neg_cfrac
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for module in (cfrac, surgery_enum):
+        monkeypatch.setattr(module, "neg_cfrac", counting)
+    row_tallies(from_rational(r))
+    t = r - math.ceil(r) + 1
+    allowed = {-1 / t, r + 3} if r < -3 else {-1 / t}
+    assert len(calls) <= 2 and len(set(calls)) == len(calls) and set(calls) <= allowed, calls

@@ -17,8 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from f8tight import Slope, classify, tight_count
-from f8tight.classification import CountKind, result_as_json
+from f8tight import Slope, classification, classify, surgery_enum, tight_count
+from f8tight.classification import CountKind, coefficients_between, result_as_json
 from f8tight import cli
 from f8tight.cli import run
 
@@ -219,6 +219,63 @@ def test_table_empty_range(capsys):
     assert code == 2
     assert text == ""
     assert "usage error" in capsys.readouterr().err
+
+
+def test_table_builds_no_certificates(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("table must not build certificates")
+
+    for module, name in [
+        (classification, "enumerate_structures"),
+        (classification, "stabilization_tuples"),
+        (surgery_enum, "stabilization_tuples"),
+        (cli, "classify"),
+    ]:
+        monkeypatch.setattr(module, name, refuse)
+    code, text = run_cli("table", "--from", "-30", "--to", "30", "--denominator", "8")
+    assert code == 0
+    rows = text.splitlines()
+    assert [row.split("  ")[0] for row in rows] == [
+        str(r) for r in coefficients_between(Fraction(-30), Fraction(30), 8)
+    ]
+    assert sum(1 for row in rows if "  finite " in row) == 1255
+
+
+def test_table_row_with_a_huge_count():
+    # 10¹² structures: the row is read off Φ and Ψ, not counted off certificates.
+    r = "-2000000000001/2"
+    code, text = run_cli("table", "--from", r, "--to", r, "--denominator", "2")
+    assert code == 0
+    assert text == f"{r}  Hyperbolic  finite 1000000000000  ut 2  cand 0  stein 999999999998/1000000000000\n"
+
+
+def test_consecutive_runs_match_fresh_runs(capsys):
+    # One process reuses the parser; each call must print what a call on a
+    # freshly built parser prints, whatever ran before it.
+    invocations = [
+        ("count",),
+        ("enumerate", "7/3", "--json"),
+        ("count", "-9/2"),
+        ("table", "--from", "-6", "--to", "-4"),
+        ("window", "-5", "--bound", "3"),
+        ("count", "abc"),
+        ("enumerate", "1/2"),
+        ("count", "-9/2"),
+    ]
+
+    def call(argv):
+        code, text = run_cli(*argv)
+        return code, text, capsys.readouterr().err
+
+    cli._build_parser.cache_clear()
+    in_sequence = [call(argv) for argv in invocations]
+    assert cli._build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in invocations:
+        cli._build_parser.cache_clear()
+        fresh.append(call(argv))
+    assert in_sequence == fresh
+    assert [code for code, _, _ in fresh] == [2, 0, 0, 0, 0, 2, 3, 0]
 
 
 def test_usage_errors(capsys):

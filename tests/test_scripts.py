@@ -65,3 +65,22 @@ def test_thickening_survey_accounts_for_every_path(monkeypatch):
     assert sum(endpoints.values()) == walked
     lengths = ast.literal_eval(re.search(r"distribution (\{.*\})$", report, re.M).group(1))
     assert sum(lengths.values()) == walked
+
+
+def test_bench_pairs_summary(monkeypatch):
+    bench = load_script(monkeypatch, "bench_pairs")
+    metrics = [
+        {"name": "ops_per_s", "unit": "1/s", "better": "higher"},
+        {"name": "op_p50_ms", "unit": "ms", "better": "lower"},
+    ]
+
+    def runs(*pairs):
+        return [{"metrics": {"ops_per_s": {"value": ops}, "op_p50_ms": {"value": ms}}} for ops, ms in pairs]
+
+    base = runs((10.0, 5.0), (12.0, 4.0), (11.0, 6.0), (9.0, 5.0))
+    change = runs((30.0, 5.0), (11.0, 3.0), (40.0, 2.0), (35.0, 7.0))
+    summary = bench.summarize(base, change, metrics)
+    assert summary["ops_per_s"]["pairs_won"] == 3
+    assert summary["op_p50_ms"]["pairs_won"] == 2  # the tie in the first pair counts for neither side
+    assert summary["ops_per_s"]["base"] == {"median": 10.5, "q1": 9.75, "q3": 11.25, "runs": [10.0, 12.0, 11.0, 9.0]}
+    assert summary["op_p50_ms"]["change"]["median"] == 4.0
