@@ -2,14 +2,14 @@
 """Run the benchmark on a base commit and on this checkout in alternating pairs.
 
     python3 scripts/bench_pairs.py --number 9 --seed 901
-    python3 scripts/bench_pairs.py --number 9 --workload table_sweep --pairs 10 --base HEAD~1
+    python3 scripts/bench_pairs.py --number 9 --seed 901 --base HEAD~1
 
 The base commit is exported with `git archive` into a temporary
-directory; the change is this checkout's working tree.  For each
-workload, pair i runs `perfbench/run.py` with seed `--seed` + i on both
-sides, the base first in even pairs and the change first in odd ones.
-The workloads, the run length and each metric's better direction come
-from BENCHMARK.json.  The summary goes to BENCH_<number>.json at the
+directory; the change is this checkout's working tree.  For every
+workload in BENCHMARK.json, pair i of 10 runs `perfbench/run.py` with
+seed `--seed` + i on both sides, the base first in even pairs and the
+change first in odd ones.  The run length and each metric's better
+direction also come from BENCHMARK.json.  The summary goes to BENCH_<number>.json at the
 repository root: per workload and end-to-end metric, each side's median,
 quartiles and runs, and the number of pairs the change won (ties count
 for neither side).
@@ -29,19 +29,15 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
 
 
-def parse_args(argv: list[str], workloads: list[str]) -> argparse.Namespace:
+def parse_args(argv: list[str]) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--number", type=int, required=True, help="write BENCH_<number>.json")
     parser.add_argument("--base", default="HEAD", help="git revision to compare against (default HEAD)")
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
-    parser.add_argument("--workload", action="append", choices=workloads, help="repeatable; default all")
-    args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2: quartiles need two runs a side")
-    return args
+    return parser.parse_args(argv)
 
 
 def export(revision: str, into: Path) -> str:
@@ -51,7 +47,12 @@ def export(revision: str, into: Path) -> str:
     ).stdout.strip()
     archive = subprocess.run(["git", "archive", "--format=tar", commit], cwd=ROOT, capture_output=True, check=True)
     with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-        tar.extractall(into, filter="data")
+        # The archive comes from this repository's own git, so it is trusted;
+        # Python releases before the extraction filters take no `filter`.
+        if hasattr(tarfile, "data_filter"):
+            tar.extractall(into, filter="data")
+        else:
+            tar.extractall(into)
     return commit
 
 
@@ -95,9 +96,8 @@ def side_totals(runs: list[dict]) -> dict[str, object]:
 
 def main(argv: list[str] | None = None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    names = [w["name"] for w in spec["workloads"]]
-    args = parse_args(sys.argv[1:] if argv is None else argv, names)
-    seeds = [args.seed + i for i in range(args.pairs)]
+    args = parse_args(sys.argv[1:] if argv is None else argv)
+    seeds = [args.seed + i for i in range(PAIRS)]
     report = {
         "python": platform.python_version(),
         "machine": platform.machine(),
@@ -108,13 +108,13 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         report["base"] = export(args.base, Path(tmp))
         report["change"] = "working tree"
-        for workload in args.workload or names:
+        for workload in (w["name"] for w in spec["workloads"]):
             runs = {"base": [], "change": []}
             for i, seed in enumerate(seeds):
                 order = [("base", Path(tmp)), ("change", ROOT)]
                 for side, root in order if i % 2 == 0 else reversed(order):
                     runs[side].append(bench(root, workload, seed, spec["run_seconds"]))
-                print(f"{workload}: pair {i + 1}/{args.pairs} (seed {seed}) done", file=sys.stderr)
+                print(f"{workload}: pair {i + 1}/{PAIRS} (seed {seed}) done", file=sys.stderr)
             report["workloads"][workload] = {
                 "base_totals": side_totals(runs["base"]),
                 "change_totals": side_totals(runs["change"]),
