@@ -19,14 +19,14 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 
-from .cfrac import phi, psi
+from .cfrac import NegContinuedFraction, neg_cfrac, phi, psi, standard_product
 from .slope import Slope
 from .surgery_enum import (
     ChernCertificate,
     Family,
     chain_budgets,
     chern_certificate,
-    phi_family_budgets,
+    phi_family_chain,
     stabilization_tuples,
 )
 
@@ -229,18 +229,44 @@ def row_tallies(r: Slope) -> RowTallies:
     return RowTallies(TightCount(CountKind.FINITE, total), ut, candidates, total if f >= -9 else psi_r)
 
 
-# The certificates of one family come with the chain budgets behind them,
-# for `universal_tightness_tag`.
-FamilyCertificates = tuple[tuple[int, ...], list[ChernCertificate]]
-
 # L′ carries contact −2 on tb = 1: a one-component chain with budget 1,
 # whose two rotation numbers ±1 are the sign listed outermost.
 L_PRIME_BUDGETS = (1,)
 
+def structure_families(r: Slope) -> list[tuple[Family, NegContinuedFraction | None, int]]:
+    """The families of tight structures on M(r) in enumeration order, as (family, chain, scale).
 
-def _certificates(family: Family, budgets: tuple[int, ...], scale: int) -> FamilyCertificates:
-    """One certificate per point of the family's stabilization lattice."""
-    return budgets, [chern_certificate(family, rots, scale) for rots in stabilization_tuples(budgets)]
+    `chain` is the one expansion the family's budgets are read from, by
+    `family_size` and `family_budgets`: r + 3 for the standard-background
+    family (r < −3, listed first), −1/t (t the fractional part of r) for
+    the overtwisted-background one, 1/(1 − r) for positive r, after L′.
+    It is None where nothing is expanded: the integral overtwisted family
+    and r = 1, where L is erased.
+    """
+    f = finite_coefficient(r)
+    if not in_classified_range(f):
+        raise ValueError(f"coefficient {r} is outside the classified range")
+    if f > 0:
+        return [(Family.POSITIVE_R, None if f == 1 else neg_cfrac(1 / (1 - f)), 1)]
+    families = [(Family.PSI_STD, neg_cfrac(f + 3), 1)] if f < -3 else []
+    n = math.floor(f)
+    # The two integral candidate surgeries give isotopic structures, so
+    # there the family is the single fixed point of the sign involution.
+    families.append((Family.PHI_OVERTWISTED, None if f.denominator == 1 else phi_family_chain(f, n), abs(n)))
+    return families
+
+
+def family_size(family: Family, chain: NegContinuedFraction | None) -> int:
+    """Π(b + 1) over the family's budgets: the standard product, ×2 for L′."""
+    size = 1 if chain is None else standard_product(chain)
+    return 2 * size if family is Family.POSITIVE_R else size
+
+
+def family_budgets(family: Family, chain: NegContinuedFraction | None) -> tuple[int, ...]:
+    """The family's stabilization budgets, L′ first for positive r."""
+    if family is Family.POSITIVE_R:
+        return L_PRIME_BUDGETS + (() if chain is None else chain_budgets(chain))
+    return (0,) if chain is None else chain_budgets(chain)
 
 
 def universal_tightness_tag(cert: ChernCertificate, r: Slope, budgets: tuple[int, ...]) -> UTTag:
@@ -264,12 +290,23 @@ def universal_tightness_tag(cert: ChernCertificate, r: Slope, budgets: tuple[int
     signs = {1 if rot > 0 else -1 for rot in rots if rot != 0}
     if not extremal or len(signs) > 1:
         return UTTag.NO
+    return corner_tag(cert.family, r)
+
+
+def corner_tag(family: Family, r: Slope) -> UTTag:
+    """The tag of a family's uniform-sign tuples, all at −b or all at +b.
+
+    These are the first and last points of its lattice (of each L′ half
+    for positive r); every other point is tagged UTTag.NO.
+    """
+    if family is Family.PSI_STD:
+        return UTTag.NO
     if r.num < 0 or r.den == 1:
         return UTTag.YES
     return UTTag.CANDIDATE_PAIR
 
 
-def _stein_tag(family: Family, f: Fraction) -> SteinTag:
+def stein_tag(family: Family, f: Fraction) -> SteinTag:
     if family is Family.PSI_STD or f >= -9:
         return SteinTag.YES
     return SteinTag.UNKNOWN
@@ -282,28 +319,14 @@ def enumerate_structures(r: Slope) -> list[ContactStructureCert]:
     the overtwisted-background one; positive coefficients list the L′ sign
     choices outermost.  The length always equals the finite count.
     """
-    f = finite_coefficient(r)
-    if not in_classified_range(f):
-        raise ValueError(f"coefficient {r} is outside the classified range")
-    if f > 0:
-        l_budgets = () if f == 1 else chain_budgets(1 / (1 - f))  # at r = 1, L is erased
-        families = [_certificates(Family.POSITIVE_R, L_PRIME_BUDGETS + l_budgets, 1)]
-    else:
-        families = [_certificates(Family.PSI_STD, chain_budgets(f + 3), 1)] if f < -3 else []
-        n = math.floor(f)
-        # The two integral candidate surgeries give isotopic structures, so
-        # there the family is the single fixed point of the sign involution.
-        budgets = (0,) if f.denominator == 1 else phi_family_budgets(f, n)
-        families.append(_certificates(Family.PHI_OVERTWISTED, budgets, abs(n)))
-    return [
-        ContactStructureCert(
-            certificate=c,
-            stein=_stein_tag(c.family, f),
-            universally_tight=universal_tightness_tag(c, r, budgets),
-        )
-        for budgets, certificates in families
-        for c in certificates
-    ]
+    structures = []
+    for family, chain, scale in structure_families(r):
+        budgets = family_budgets(family, chain)
+        stein = stein_tag(family, r.as_fraction())
+        for rots in stabilization_tuples(budgets):
+            c = chern_certificate(family, rots, scale)
+            structures.append(ContactStructureCert(c, stein, universal_tightness_tag(c, r, budgets)))
+    return structures
 
 
 def involution(cert: ContactStructureCert) -> ContactStructureCert:

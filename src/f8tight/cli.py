@@ -10,23 +10,29 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
+import math
+import os
 import re
 import sys
 from fractions import Fraction
 
-from .cfrac import Form, neg_cfrac, phi, psi
+from .cfrac import Form, NegContinuedFraction, neg_cfrac, phi, psi
 from .classification import (
     CountKind,
-    classify,
     coefficients_between,
+    corner_tag,
+    family_budgets,
+    family_size,
     geometry_of,
-    result_as_json,
     row_tallies,
+    stein_tag,
+    structure_families,
     tight_count,
 )
 from .slope import Slope, parse_slope
-from .surgery_enum import smooth_framing_check
+from .surgery_enum import Family, smooth_framing_check
 from .tight_counts import solid_torus_count, solid_torus_spec
 from .torus_dynamics import (
     AttachSide,
@@ -37,8 +43,12 @@ from .torus_dynamics import (
     thicken_path,
 )
 
-# `enumerate` materializes every certificate, so it refuses larger counts.
+# `enumerate` streams its lines, so this bounds the size of its output, not
+# its memory: 10⁶ lines are roughly 60–100 MB.
 ENUMERATE_LIMIT = 1_000_000
+
+# Most lines (or JSON structure objects) in one write of `enumerate`.
+ENUMERATE_CHUNK = 4096
 
 COUNT_WORDS = {
     CountKind.FINITE: "finite",
@@ -145,28 +155,64 @@ def _format_count(r: Slope) -> str:
 
 
 def _cmd_enumerate(args: argparse.Namespace, out) -> int:
-    count = tight_count(args.r)
-    if count.kind is not CountKind.FINITE:
-        raise ValueError(f"coefficient {args.r} is outside the classified range")
-    if count.value > ENUMERATE_LIMIT:
-        raise ValueError(
-            f"coefficient {args.r} has {count.value} tight structures; enumerate lists at most {ENUMERATE_LIMIT}"
-        )
-    result = classify(args.r)
+    """Print every structure straight off the families' stabilization lattices.
+
+    The count and the size guard read the chain expansions alone; budgets
+    are spelled out only below the limit.  The output is byte for byte
+    what formatting `classify(r)` and `result_as_json` gives.
+    """
+    r = args.r
+    families = structure_families(r)
+    count = sum(family_size(family, chain) for family, chain, _ in families)
+    if count > ENUMERATE_LIMIT:
+        raise ValueError(f"coefficient {r} has {count} tight structures; enumerate lists at most {ENUMERATE_LIMIT}")
+    geometry = geometry_of(r).value
     if args.as_json:
-        print(json.dumps(result_as_json(result)), file=out)
-        return 0
-    print(f"coefficient {result.coefficient}", file=out)
-    print(f"geometry {result.verdict.value}", file=out)
-    print(f"count {COUNT_WORDS[result.count.kind]} {result.count.value}", file=out)
-    for cert in result.structures:
-        evaluations = ",".join(str(e) for e in cert.certificate.evaluations)
-        print(
-            f"{cert.certificate.family.value} evaluations=({evaluations}) scale={cert.certificate.scale} "
-            f"stein={cert.stein.value} strong=Yes ut={cert.universally_tight.value}",
-            file=out,
-        )
+        count_json = f'{{"kind": "finite", "value": {count}}}'
+        out.write(f'{{"coefficient": "{r}", "geometry": "{geometry}", "count": {count_json}, "structures": [')
+    else:
+        out.write(f"coefficient {r}\ngeometry {geometry}\ncount finite {count}\n")
+    pieces = itertools.chain.from_iterable(_family_text(r, *family, args.as_json) for family in families)
+    out.write(next(pieces))
+    for piece in pieces:
+        out.write(", " + piece if args.as_json else piece)
+    if args.as_json:
+        out.write("]}\n")
     return 0
+
+
+def _family_text(r: Slope, family: Family, chain: NegContinuedFraction | None, scale: int, as_json: bool):
+    """The family's lines, one per lattice point in `itertools.product` order.
+
+    Only the corners, the first and last point, carry `corner_tag`; for
+    positive r each L′ sign, listed outermost, heads a block with its own.
+    Each corner is a piece of its own, and the points between them come in
+    pieces of at most ENUMERATE_CHUNK lines, joined in C: a line is a fixed
+    head, its evaluations and a fixed tail.  JSON objects are listed the
+    same way, and pieces are to be joined by ", ".
+    """
+    slots = [[str(scale * rot) for rot in range(-b, b + 1, 2)] for b in family_budgets(family, chain)]
+    stein = stein_tag(family, r.as_fraction()).value
+    uts = ("No", corner_tag(family, r).value)
+    if as_json:
+        head, sep, between = f'{{"family": "{family.value}", "evaluations": ["', '", "', ", "
+        plain, tagged = (
+            f'"], "scale": {scale}, "stein": "{stein}", "strong": "Yes", "universally_tight": "{ut}"}}' for ut in uts
+        )
+    else:
+        head, sep, between = f"{family.value} evaluations=(", ",", ""
+        plain, tagged = (f") scale={scale} stein={stein} strong=Yes ut={ut}\n" for ut in uts)
+    joint = plain + between + head
+    blocks = 2 if family is Family.POSITIVE_R else 1
+    size = math.prod(map(len, slots)) // blocks
+    points = itertools.product(*slots)
+    for _ in range(blocks):
+        yield head + sep.join(next(points)) + tagged
+        for start in range(1, size - 1, ENUMERATE_CHUNK):
+            middle = itertools.islice(points, min(ENUMERATE_CHUNK, size - 1 - start))
+            yield head + joint.join(map(sep.join, middle)) + plain
+        if size > 1:
+            yield head + sep.join(next(points)) + tagged
 
 
 def _cmd_thicken(args: argparse.Namespace, out) -> int:
@@ -220,7 +266,15 @@ def run(argv: list[str], out=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        status = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone (`f8tight enumerate ... | head`).  Point stdout
+        # at devnull, so that the flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(status)
 
 
 if __name__ == "__main__":

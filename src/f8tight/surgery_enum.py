@@ -5,8 +5,9 @@ Legendrian surgeries: expand the coefficient as [r0, ..., rn] in standard
 negative continued fraction form, stabilize the knot |r0+1| times, then
 each successive push-off |ri+2| times.  A push-off keeps the invariants
 of its predecessor, so the chain is exactly its budget tuple, read off
-one expansion (`chain_budgets`).  Which way each stabilization goes is a
-free choice, and the resulting rotation numbers, scaled into Chern class
+one expansion (`chain_budgets`, which also takes the expansion itself).
+Which way each stabilization goes is a free choice, and the resulting
+rotation numbers, scaled into Chern class
 evaluations (⟨c₁, h⟩ = rot for Legendrian surgery), certify that the
 contact structures built from different choices are pairwise distinct.
 
@@ -70,9 +71,13 @@ def _contact_expansion(r_contact: Fraction | int) -> NegContinuedFraction:
     return neg_cfrac(r, Form.STANDARD)
 
 
-def chain_budgets(r_contact: Fraction | int) -> tuple[int, ...]:
-    """The stabilization budgets of the chain for contact r-surgery, r < 0."""
-    digits = _contact_expansion(r_contact).digits
+def chain_budgets(r_contact: NegContinuedFraction | Fraction | int) -> tuple[int, ...]:
+    """The stabilization budgets of the chain for contact r-surgery, r < 0.
+
+    r may be given by its standard expansion, which is then read as is.
+    """
+    cf = r_contact if isinstance(r_contact, NegContinuedFraction) else _contact_expansion(r_contact)
+    digits = cf.digits
     return (abs(digits[0] + 1), *(abs(d + 2) for d in digits[1:]))
 
 
@@ -85,14 +90,15 @@ def choice_count(r_contact: Fraction | int) -> int:
     return standard_product(_contact_expansion(r_contact))
 
 
-def phi_family_budgets(r: Fraction, n: int) -> tuple[int, ...]:
-    """The budgets whose stabilizations distinguish the overtwisted-background structures.
+def phi_family_chain(r: Fraction, n: int) -> NegContinuedFraction:
+    """The expansion whose chain distinguishes the overtwisted-background structures.
 
     For non-integral r in the window (n, n+1) with n ≤ −1, the two
     candidate knots arise as the stabilizations of the virtual knot, so
     the whole family is the stabilization lattice of the chain for
     contact −1/(1−s)-surgery on it, where s = n + 1 − r.  The first
-    budget is then at least 1 and the lattice has Φ(r) entries.
+    budget is then at least 1 and the lattice has Φ(r) entries, the
+    standard product of this expansion.
     """
     r = Fraction(r)
     if r.denominator == 1:
@@ -102,7 +108,12 @@ def phi_family_budgets(r: Fraction, n: int) -> tuple[int, ...]:
     if not n < r < n + 1:
         raise ValueError(f"{r} is not in the window ({n}, {n + 1})")
     s = n + 1 - r
-    return chain_budgets(-1 / (1 - s))
+    return _contact_expansion(-1 / (1 - s))
+
+
+def phi_family_budgets(r: Fraction, n: int) -> tuple[int, ...]:
+    """The budgets of `phi_family_chain(r, n)`."""
+    return chain_budgets(phi_family_chain(r, n))
 
 
 def chern_certificate(family: Family, rots: tuple[int, ...], scale: int) -> ChernCertificate:

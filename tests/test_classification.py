@@ -36,8 +36,15 @@ from f8tight import (
     row_tallies,
     tight_count,
 )
-from f8tight import cfrac, surgery_enum
-from f8tight.classification import coefficients_between, result_as_json, structure_as_json
+from f8tight import cfrac, classification, surgery_enum
+from f8tight.classification import (
+    coefficients_between,
+    family_budgets,
+    family_size,
+    result_as_json,
+    structure_as_json,
+    structure_families,
+)
 from f8tight.slope import INFINITY, from_rational
 
 classified = st.fractions(min_value=-30, max_value=30, max_denominator=12).filter(
@@ -200,6 +207,16 @@ def test_enumeration_matches_count_and_is_distinct(r):
 
 
 @given(classified)
+def test_family_sizes_sum_to_the_count(r):
+    # The sizes come off the expansions alone; they must be the lattices'.
+    slope = from_rational(r)
+    families = structure_families(slope)
+    sizes = [family_size(family, chain) for family, chain, _ in families]
+    assert sum(sizes) == tight_count(slope).value
+    assert sizes == [math.prod(b + 1 for b in family_budgets(family, chain)) for family, chain, _ in families]
+
+
+@given(classified)
 def test_family_composition(r):
     slope = from_rational(r)
     families = [c.certificate.family for c in enumerate_structures(slope)]
@@ -339,7 +356,7 @@ def test_classify_expands_each_chain_once(monkeypatch, r):
         calls.append(args[0])
         return original(*args, **kwargs)
 
-    for module in (cfrac, surgery_enum):
+    for module in (cfrac, surgery_enum, classification):
         monkeypatch.setattr(module, "neg_cfrac", counting)
     result = classify(from_rational(r))
     assert result.count.kind is CountKind.FINITE

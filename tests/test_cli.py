@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from f8tight import Slope, classification, classify, surgery_enum, tight_count
+from f8tight import Slope, cfrac, classification, classify, surgery_enum, tight_count
 from f8tight.classification import CountKind, coefficients_between, result_as_json
 from f8tight import cli
 from f8tight.cli import run
@@ -33,6 +33,36 @@ def run_cli(*argv: str) -> tuple[int, str]:
     buf = io.StringIO()
     code = run(list(argv), out=buf)
     return code, buf.getvalue()
+
+
+def enumerate_oracle(r: Slope, as_json: bool) -> str:
+    """What `enumerate` printed when it formatted `classify(r)`'s certificates one by one."""
+    result = classify(r)
+    if as_json:
+        return json.dumps(result_as_json(result)) + "\n"
+    lines = [f"coefficient {result.coefficient}", f"geometry {result.verdict.value}"]
+    lines.append(f"count finite {result.count.value}")
+    for cert in result.structures:
+        evaluations = ",".join(str(e) for e in cert.certificate.evaluations)
+        lines.append(
+            f"{cert.certificate.family.value} evaluations=({evaluations}) scale={cert.certificate.scale} "
+            f"stein={cert.stein.value} strong=Yes ut={cert.universally_tight.value}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+class WriteLog:
+    """Output stream that keeps each write apart."""
+
+    def __init__(self) -> None:
+        self.writes: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self) -> None:
+        pass
 
 
 @pytest.mark.parametrize(
@@ -193,6 +223,70 @@ def test_enumerate_refuses_counts_above_the_limit(capsys, monkeypatch):
     assert len(text.splitlines()) == 3 + 4
 
 
+def test_enumerate_matches_the_certificate_oracle():
+    finite = 0
+    for r in coefficients_between(Fraction(-30), Fraction(30), 8):
+        if tight_count(r).kind is not CountKind.FINITE:
+            continue
+        finite += 1
+        assert run_cli("enumerate", str(r)) == (0, enumerate_oracle(r, False)), r
+        assert run_cli("enumerate", str(r), "--json") == (0, enumerate_oracle(r, True)), r
+    assert finite == 1255
+
+
+def test_enumerate_builds_no_certificates(monkeypatch):
+    r = Slope(-68111, 6930)
+    expected = {as_json: enumerate_oracle(r, as_json) for as_json in (False, True)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate must not build certificates")
+
+    for module, name in [
+        (surgery_enum, "chern_certificate"),
+        (classification, "chern_certificate"),
+        (surgery_enum, "stabilization_tuples"),
+        (classification, "stabilization_tuples"),
+        (classification, "enumerate_structures"),
+        (classification, "universal_tightness_tag"),
+        (classification, "ContactStructureCert"),
+    ]:
+        monkeypatch.setattr(module, name, refuse)
+    assert run_cli("enumerate", str(r)) == (0, expected[False])
+    assert run_cli("enumerate", str(r), "--json") == (0, expected[True])
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_enumerate_streams_in_chunks(as_json):
+    # 25,625 structures: the header goes out first, then chunks of at
+    # most ENUMERATE_CHUNK structures, so the first structure is written
+    # well before the last one exists.
+    argv = ["enumerate", "-68111/6930"] + (["--json"] if as_json else [])
+    sink = WriteLog()
+    assert run(argv, out=sink) == 0
+    assert "".join(sink.writes) == enumerate_oracle(Slope(-68111, 6930), as_json)
+    first, chunks = sink.writes[0], sink.writes[1:]
+    assert first.endswith("count finite 25625\n" if not as_json else '"structures": [')
+    per_chunk = [chunk.count('{"family"') if as_json else chunk.count("\n") for chunk in chunks]
+    assert len(per_chunk) > 2 and max(per_chunk) == cli.ENUMERATE_CHUNK
+
+
+def test_enumerate_expands_each_chain_once(monkeypatch):
+    # The size guard reads the count off the same expansions as the budgets.
+    original = cfrac.neg_cfrac
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for module in (cfrac, surgery_enum, classification):
+        monkeypatch.setattr(module, "neg_cfrac", counting)
+    for r in ("-68111/6930", "-10", "7/3", "1", "-13/5"):
+        calls.clear()
+        assert run_cli("enumerate", r)[0] == 0
+        assert len(calls) <= 2 and len(set(calls)) == len(calls), (r, calls)
+
+
 def test_table_command():
     code, text = run_cli("table", "--from", "-6", "--to", "-4")
     assert code == 0
@@ -229,7 +323,7 @@ def test_table_builds_no_certificates(monkeypatch):
         (classification, "enumerate_structures"),
         (classification, "stabilization_tuples"),
         (surgery_enum, "stabilization_tuples"),
-        (cli, "classify"),
+        (classification, "classify"),
     ]:
         monkeypatch.setattr(module, name, refuse)
     code, text = run_cli("table", "--from", "-30", "--to", "30", "--denominator", "8")
@@ -305,6 +399,26 @@ def test_main_subprocess_roundtrip():
     )
     assert proc.returncode == 3
     assert proc.stderr.startswith("domain error:")
+
+
+@pytest.mark.parametrize(
+    "argv, read",
+    [
+        # three lines, as `| head -3` takes them
+        (("enumerate", "-68111/6930"), lambda stdout: [stdout.readline() for _ in range(3)]),
+        # `window` prints one long line; `| head -c 10` takes ten bytes of it
+        (("window", "-5", "--bound", "100000"), lambda stdout: stdout.read(10)),
+    ],
+)
+def test_closed_pipe_ends_quietly(argv, read):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "f8tight", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=src_env()
+    )
+    read(proc.stdout)
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 1
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_module_entry_point():

@@ -27,7 +27,7 @@ from f8tight import (
     stabilization_tuples,
 )
 from f8tight.cfrac import standard_product
-from f8tight.surgery_enum import chain_budgets
+from f8tight.surgery_enum import chain_budgets, phi_family_chain
 
 negative_coefficients = st.fractions(min_value=-30, max_value=Fraction(-1, 30), max_denominator=30)
 unit_interval = st.fractions(min_value=0, max_value=1, max_denominator=20).filter(lambda s: s > 0)
@@ -110,6 +110,20 @@ def test_phi_family_size(n, t):
     tuples = stabilization_tuples(phi_family_budgets(r, n))
     assert len(tuples) == phi(r)
     assert len(set(tuples)) == len(tuples)
+
+
+@given(negative_coefficients)
+def test_chain_budgets_read_a_given_expansion(r):
+    assert chain_budgets(neg_cfrac(r)) == chain_budgets(r)
+
+
+@given(st.integers(-8, -1), st.fractions(min_value=0, max_value=1, max_denominator=12))
+def test_phi_family_chain_has_the_family_budgets(n, t):
+    if t in (0, 1):
+        return
+    chain = phi_family_chain(n + t, n)
+    assert chain_budgets(chain) == phi_family_budgets(n + t, n)
+    assert standard_product(chain) == phi(n + t)
 
 
 def test_phi_family_rejects_bad_windows():
