@@ -14,21 +14,16 @@ same formulas are only a lower bound and no certificates are emitted.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 
 from .cfrac import NegContinuedFraction, neg_cfrac, phi, psi, standard_product
 from .slope import Slope
-from .surgery_enum import (
-    ChernCertificate,
-    Family,
-    chain_budgets,
-    chern_certificate,
-    phi_family_chain,
-    stabilization_tuples,
-)
+from .surgery_enum import ChernCertificate, Family, chain_budgets, phi_family_chain
 
 TOROIDAL_COEFFICIENTS = (Fraction(0), Fraction(4), Fraction(-4))
 
@@ -233,6 +228,7 @@ def row_tallies(r: Slope) -> RowTallies:
 # whose two rotation numbers ±1 are the sign listed outermost.
 L_PRIME_BUDGETS = (1,)
 
+
 def structure_families(r: Slope) -> list[tuple[Family, NegContinuedFraction | None, int]]:
     """The families of tight structures on M(r) in enumeration order, as (family, chain, scale).
 
@@ -279,6 +275,7 @@ def universal_tightness_tag(cert: ChernCertificate, r: Slope, budgets: tuple[int
     universally tight for negative r and for integral positive r, and an
     unresolved 2-or-4 pair for non-integral positive r.  The
     standard-background family is always virtually overtwisted.
+    `Structures` reads the same tags off its block corners.
     """
     if cert.family is Family.PSI_STD:
         return UTTag.NO
@@ -296,8 +293,8 @@ def universal_tightness_tag(cert: ChernCertificate, r: Slope, budgets: tuple[int
 def corner_tag(family: Family, r: Slope) -> UTTag:
     """The tag of a family's uniform-sign tuples, all at −b or all at +b.
 
-    These are the first and last points of its lattice (of each L′ half
-    for positive r); every other point is tagged UTTag.NO.
+    These are the first and last points of each block of its lattice
+    (`Structures.blocks`); every other point is tagged UTTag.NO.
     """
     if family is Family.PSI_STD:
         return UTTag.NO
@@ -312,21 +309,79 @@ def stein_tag(family: Family, f: Fraction) -> SteinTag:
     return SteinTag.UNKNOWN
 
 
-def enumerate_structures(r: Slope) -> list[ContactStructureCert]:
+class Structures(Sequence):
+    """The tight structures on M(r), listed lazily off their stabilization lattices.
+
+    `len` reads the family sizes off the chain expansions alone; budgets
+    are spelled out only when structures are asked for, and no
+    certificate is built until then.  The listing goes family by family
+    (as `structure_families`), block by block (`blocks`), and within a
+    block in `itertools.product` order, the last slot fastest: mixed radix
+    (Knuth, TAOCP 4A §7.2.1.1, Algorithm M), so `[i]` reads i's digits.
+    """
+
+    def __init__(self, r: Slope) -> None:
+        self.coefficient = r
+        self.families = structure_families(r)
+        self._size = sum(family_size(family, chain) for family, chain, _ in self.families)
+
+    def __len__(self) -> int:
+        return self._size
+
+    def blocks(self) -> Iterator[tuple[Family, int, SteinTag, list[range], UTTag]]:
+        """The listing in blocks of (family, scale, stein, slots, corner).
+
+        A block's structures are the points of `itertools.product(*slots)`,
+        each slot the evaluations scale·rot of one component, rot = −b,
+        −b + 2, ..., b.  Its first and last points are its uniform-sign
+        tuples (all at −b, all at +b), tagged `corner`; every other point
+        is UTTag.NO.  For positive r each L′ sign heads a block of its own,
+        whose L′ slot holds that sign alone.
+        """
+        r = self.coefficient
+        for family, chain, scale in self.families:
+            slots = [range(-scale * b, scale * b + 1, 2 * scale) for b in family_budgets(family, chain)]
+            stein, corner = stein_tag(family, r.as_fraction()), corner_tag(family, r)
+            if family is Family.POSITIVE_R:
+                for sign in slots[0]:
+                    yield family, scale, stein, [range(sign, sign + 1), *slots[1:]], corner
+            else:
+                yield family, scale, stein, slots, corner
+
+    def __iter__(self) -> Iterator[ContactStructureCert]:
+        for family, scale, stein, slots, corner in self.blocks():
+            last = math.prod(map(len, slots)) - 1
+            for k, evaluations in enumerate(itertools.product(*slots)):
+                tag = corner if k in (0, last) else UTTag.NO
+                yield ContactStructureCert(ChernCertificate(family, evaluations, scale), stein, tag)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(self._size))]
+        if not -self._size <= i < self._size:
+            raise IndexError("structure index out of range")
+        k = i % self._size
+        for family, scale, stein, slots, corner in self.blocks():
+            size = math.prod(map(len, slots))
+            if k < size:
+                break
+            k -= size
+        tag = corner if k in (0, size - 1) else UTTag.NO
+        digits = []
+        for slot in reversed(slots):
+            k, d = divmod(k, len(slot))
+            digits.append(slot[d])
+        return ContactStructureCert(ChernCertificate(family, tuple(reversed(digits)), scale), stein, tag)
+
+
+def enumerate_structures(r: Slope) -> Structures:
     """All tight structures on M(r) for r in the classified range.
 
     Negative coefficients list the standard-background family first, then
     the overtwisted-background one; positive coefficients list the L′ sign
     choices outermost.  The length always equals the finite count.
     """
-    structures = []
-    for family, chain, scale in structure_families(r):
-        budgets = family_budgets(family, chain)
-        stein = stein_tag(family, r.as_fraction())
-        for rots in stabilization_tuples(budgets):
-            c = chern_certificate(family, rots, scale)
-            structures.append(ContactStructureCert(c, stein, universal_tightness_tag(c, r, budgets)))
-    return structures
+    return Structures(r)
 
 
 def involution(cert: ContactStructureCert) -> ContactStructureCert:

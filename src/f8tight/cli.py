@@ -18,21 +18,18 @@ import re
 import sys
 from fractions import Fraction
 
-from .cfrac import Form, NegContinuedFraction, neg_cfrac, phi, psi
+from .cfrac import Form, neg_cfrac, phi, psi
 from .classification import (
     CountKind,
+    UTTag,
     coefficients_between,
-    corner_tag,
-    family_budgets,
-    family_size,
+    enumerate_structures,
     geometry_of,
     row_tallies,
-    stein_tag,
-    structure_families,
     tight_count,
 )
 from .slope import Slope, parse_slope
-from .surgery_enum import Family, smooth_framing_check
+from .surgery_enum import smooth_framing_check
 from .tight_counts import solid_torus_count, solid_torus_spec
 from .torus_dynamics import (
     AttachSide,
@@ -43,11 +40,14 @@ from .torus_dynamics import (
     thicken_path,
 )
 
-# `enumerate` streams its lines, so this bounds the size of its output, not
-# its memory: 10⁶ lines are roughly 60–100 MB.
+# `enumerate` streams its lines, so this bounds the number of structures
+# (lines) it prints, not its memory.  It does not bound their length: a
+# line holds one evaluation per chain component, and the components grow
+# with the digits of the expansions (see ROADMAP.md, "Known gaps").
 ENUMERATE_LIMIT = 1_000_000
 
-# Most lines (or JSON structure objects) in one write of `enumerate`.
+# Most lines (or JSON structure objects) in one write of `enumerate`; a
+# line may be of any length, as above.
 ENUMERATE_CHUNK = 4096
 
 COUNT_WORDS = {
@@ -155,15 +155,15 @@ def _format_count(r: Slope) -> str:
 
 
 def _cmd_enumerate(args: argparse.Namespace, out) -> int:
-    """Print every structure straight off the families' stabilization lattices.
+    """Print every structure straight off the blocks of its stabilization lattice.
 
     The count and the size guard read the chain expansions alone; budgets
     are spelled out only below the limit.  The output is byte for byte
     what formatting `classify(r)` and `result_as_json` gives.
     """
     r = args.r
-    families = structure_families(r)
-    count = sum(family_size(family, chain) for family, chain, _ in families)
+    structures = enumerate_structures(r)
+    count = len(structures)
     if count > ENUMERATE_LIMIT:
         raise ValueError(f"coefficient {r} has {count} tight structures; enumerate lists at most {ENUMERATE_LIMIT}")
     geometry = geometry_of(r).value
@@ -172,7 +172,7 @@ def _cmd_enumerate(args: argparse.Namespace, out) -> int:
         out.write(f'{{"coefficient": "{r}", "geometry": "{geometry}", "count": {count_json}, "structures": [')
     else:
         out.write(f"coefficient {r}\ngeometry {geometry}\ncount finite {count}\n")
-    pieces = itertools.chain.from_iterable(_family_text(r, *family, args.as_json) for family in families)
+    pieces = itertools.chain.from_iterable(_block_text(*block, args.as_json) for block in structures.blocks())
     out.write(next(pieces))
     for piece in pieces:
         out.write(", " + piece if args.as_json else piece)
@@ -181,38 +181,35 @@ def _cmd_enumerate(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _family_text(r: Slope, family: Family, chain: NegContinuedFraction | None, scale: int, as_json: bool):
-    """The family's lines, one per lattice point in `itertools.product` order.
+def _block_text(family, scale: int, stein, slots: list[range], corner: UTTag, as_json: bool):
+    """A block's lines, one per point of `itertools.product(*slots)`.
 
-    Only the corners, the first and last point, carry `corner_tag`; for
-    positive r each L′ sign, listed outermost, heads a block with its own.
-    Each corner is a piece of its own, and the points between them come in
-    pieces of at most ENUMERATE_CHUNK lines, joined in C: a line is a fixed
-    head, its evaluations and a fixed tail.  JSON objects are listed the
-    same way, and pieces are to be joined by ", ".
+    The first and last point are tagged `corner`, the rest "No" (see
+    `Structures.blocks`).  Each is a piece of its own, and the points
+    between them come in pieces of at most ENUMERATE_CHUNK lines, joined
+    in C: a line is a fixed head, its evaluations and a fixed tail.  JSON
+    objects are listed the same way, and pieces are to be joined by ", ".
     """
-    slots = [[str(scale * rot) for rot in range(-b, b + 1, 2)] for b in family_budgets(family, chain)]
-    stein = stein_tag(family, r.as_fraction()).value
-    uts = ("No", corner_tag(family, r).value)
+    slots = [list(map(str, slot)) for slot in slots]
+    uts = (UTTag.NO.value, corner.value)
     if as_json:
         head, sep, between = f'{{"family": "{family.value}", "evaluations": ["', '", "', ", "
         plain, tagged = (
-            f'"], "scale": {scale}, "stein": "{stein}", "strong": "Yes", "universally_tight": "{ut}"}}' for ut in uts
+            f'"], "scale": {scale}, "stein": "{stein.value}", "strong": "Yes", "universally_tight": "{ut}"}}'
+            for ut in uts
         )
     else:
         head, sep, between = f"{family.value} evaluations=(", ",", ""
-        plain, tagged = (f") scale={scale} stein={stein} strong=Yes ut={ut}\n" for ut in uts)
+        plain, tagged = (f") scale={scale} stein={stein.value} strong=Yes ut={ut}\n" for ut in uts)
     joint = plain + between + head
-    blocks = 2 if family is Family.POSITIVE_R else 1
-    size = math.prod(map(len, slots)) // blocks
+    size = math.prod(map(len, slots))
     points = itertools.product(*slots)
-    for _ in range(blocks):
+    yield head + sep.join(next(points)) + tagged
+    for start in range(1, size - 1, ENUMERATE_CHUNK):
+        middle = itertools.islice(points, min(ENUMERATE_CHUNK, size - 1 - start))
+        yield head + joint.join(map(sep.join, middle)) + plain
+    if size > 1:
         yield head + sep.join(next(points)) + tagged
-        for start in range(1, size - 1, ENUMERATE_CHUNK):
-            middle = itertools.islice(points, min(ENUMERATE_CHUNK, size - 1 - start))
-            yield head + joint.join(map(sep.join, middle)) + plain
-        if size > 1:
-            yield head + sep.join(next(points)) + tagged
 
 
 def _cmd_thicken(args: argparse.Namespace, out) -> int:

@@ -5,9 +5,8 @@ Legendrian surgeries: expand the coefficient as [r0, ..., rn] in standard
 negative continued fraction form, stabilize the knot |r0+1| times, then
 each successive push-off |ri+2| times.  A push-off keeps the invariants
 of its predecessor, so the chain is exactly its budget tuple, read off
-one expansion (`chain_budgets`, which also takes the expansion itself).
-Which way each stabilization goes is a free choice, and the resulting
-rotation numbers, scaled into Chern class
+one expansion (`chain_budgets`).  Which way each stabilization goes is a
+free choice, and the resulting rotation numbers, scaled into Chern class
 evaluations (⟨c₁, h⟩ = rot for Legendrian surgery), certify that the
 contact structures built from different choices are pairwise distinct.
 
@@ -71,12 +70,12 @@ def _contact_expansion(r_contact: Fraction | int) -> NegContinuedFraction:
     return neg_cfrac(r, Form.STANDARD)
 
 
-def chain_budgets(r_contact: NegContinuedFraction | Fraction | int) -> tuple[int, ...]:
+def chain_budgets(cf: NegContinuedFraction) -> tuple[int, ...]:
     """The stabilization budgets of the chain for contact r-surgery, r < 0.
 
-    r may be given by its standard expansion, which is then read as is.
+    `cf` is r's standard expansion [r0, ..., rn]: budget |r0 + 1|, then
+    |ri + 2| for each push-off.
     """
-    cf = r_contact if isinstance(r_contact, NegContinuedFraction) else _contact_expansion(r_contact)
     digits = cf.digits
     return (abs(digits[0] + 1), *(abs(d + 2) for d in digits[1:]))
 
@@ -109,11 +108,6 @@ def phi_family_chain(r: Fraction, n: int) -> NegContinuedFraction:
         raise ValueError(f"{r} is not in the window ({n}, {n + 1})")
     s = n + 1 - r
     return _contact_expansion(-1 / (1 - s))
-
-
-def phi_family_budgets(r: Fraction, n: int) -> tuple[int, ...]:
-    """The budgets of `phi_family_chain(r, n)`."""
-    return chain_budgets(phi_family_chain(r, n))
 
 
 def chern_certificate(family: Family, rots: tuple[int, ...], scale: int) -> ChernCertificate:

@@ -35,6 +35,7 @@ from f8tight import (
     psi,
     row_tallies,
     tight_count,
+    universal_tightness_tag,
 )
 from f8tight import cfrac, classification, surgery_enum
 from f8tight.classification import (
@@ -42,9 +43,11 @@ from f8tight.classification import (
     family_budgets,
     family_size,
     result_as_json,
+    stein_tag,
     structure_as_json,
     structure_families,
 )
+from f8tight.surgery_enum import chern_certificate, stabilization_tuples
 from f8tight.slope import INFINITY, from_rational
 
 classified = st.fractions(min_value=-30, max_value=30, max_denominator=12).filter(
@@ -214,6 +217,47 @@ def test_family_sizes_sum_to_the_count(r):
     sizes = [family_size(family, chain) for family, chain, _ in families]
     assert sum(sizes) == tight_count(slope).value
     assert sizes == [math.prod(b + 1 for b in family_budgets(family, chain)) for family, chain, _ in families]
+
+
+def eager_structures(r: Slope) -> list[ContactStructureCert]:
+    """The listing as `enumerate_structures` once built it: a certificate per lattice point, each tagged alone."""
+    structures = []
+    for family, chain, scale in structure_families(r):
+        budgets = family_budgets(family, chain)
+        stein = stein_tag(family, r.as_fraction())
+        for rots in stabilization_tuples(budgets):
+            cert = chern_certificate(family, rots, scale)
+            structures.append(ContactStructureCert(cert, stein, universal_tightness_tag(cert, r, budgets)))
+    return structures
+
+
+def test_structures_match_the_eager_oracle():
+    finite = 0
+    for r in coefficients_between(Fraction(-30), Fraction(30), 8):
+        if tight_count(r).kind is not CountKind.FINITE:
+            continue
+        finite += 1
+        expected = eager_structures(r)
+        structures = enumerate_structures(r)
+        n = len(expected)
+        assert len(structures) == n, r
+        assert list(structures) == expected, r
+        assert [structures[i] for i in range(n)] == expected, r
+        assert [structures[i] for i in range(-n, 0)] == expected, r
+        assert structures[1::3] == expected[1::3], r
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                structures[i]
+    assert finite == 1255
+
+
+def test_structures_length_spells_out_no_budget(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("len must read the expansions alone")
+
+    monkeypatch.setattr(classification, "family_budgets", refuse)
+    assert len(enumerate_structures(Slope(-1440450, 758539))) == 459270
+    assert len(enumerate_structures(Slope(-1000001, 1000000))) == 2
 
 
 @given(classified)

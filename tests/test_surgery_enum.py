@@ -21,7 +21,6 @@ from f8tight import (
     choice_count,
     neg_cfrac,
     phi,
-    phi_family_budgets,
     psi,
     smooth_framing_check,
     stabilization_tuples,
@@ -51,36 +50,36 @@ def test_rot_choices_form_the_stabilization_lattice():
     ],
 )
 def test_chain_budget_table(r, budgets):
-    assert chain_budgets(r) == budgets
+    assert chain_budgets(neg_cfrac(r)) == budgets
 
 
 def test_ding_geiges_rejects_nonnegative_coefficients():
     for r in (0, Fraction(1, 2), 3):
         with pytest.raises(ValueError):
-            chain_budgets(r)
+            choice_count(r)
 
 
 def test_stabilization_tuples_frozen_example():
-    tuples = stabilization_tuples(chain_budgets(Fraction(-3, 2)))
+    tuples = stabilization_tuples(chain_budgets(neg_cfrac(Fraction(-3, 2))))
     assert tuples == [(-1, 0), (1, 0)]
 
 
 def test_positive_window_tuples_frozen():
     r = Fraction(7, 3)
-    tuples = stabilization_tuples(chain_budgets(1 / (1 - r)))
+    tuples = stabilization_tuples(chain_budgets(neg_cfrac(1 / (1 - r))))
     assert tuples == [(0, -2), (0, 0), (0, 2)]
 
 
 @given(negative_coefficients)
 def test_tuple_count_matches_the_digit_product(r):
-    tuples = stabilization_tuples(chain_budgets(r))
+    tuples = stabilization_tuples(chain_budgets(neg_cfrac(r)))
     assert len(tuples) == choice_count(r) == standard_product(neg_cfrac(r))
     assert len(set(tuples)) == len(tuples)
 
 
 @given(negative_coefficients)
 def test_tuple_parity_is_fixed_by_the_budget(r):
-    budgets = chain_budgets(r)
+    budgets = chain_budgets(neg_cfrac(r))
     for tup in stabilization_tuples(budgets):
         for rot, b in zip(tup, budgets):
             assert (rot - b) % 2 == 0
@@ -107,32 +106,19 @@ def test_phi_family_size(n, t):
     if t in (0, 1):
         return
     r = n + t
-    tuples = stabilization_tuples(phi_family_budgets(r, n))
-    assert len(tuples) == phi(r)
+    chain = phi_family_chain(r, n)
+    tuples = stabilization_tuples(chain_budgets(chain))
+    assert len(tuples) == phi(r) == standard_product(chain)
     assert len(set(tuples)) == len(tuples)
-
-
-@given(negative_coefficients)
-def test_chain_budgets_read_a_given_expansion(r):
-    assert chain_budgets(neg_cfrac(r)) == chain_budgets(r)
-
-
-@given(st.integers(-8, -1), st.fractions(min_value=0, max_value=1, max_denominator=12))
-def test_phi_family_chain_has_the_family_budgets(n, t):
-    if t in (0, 1):
-        return
-    chain = phi_family_chain(n + t, n)
-    assert chain_budgets(chain) == phi_family_budgets(n + t, n)
-    assert standard_product(chain) == phi(n + t)
 
 
 def test_phi_family_rejects_bad_windows():
     with pytest.raises(ValueError):
-        phi_family_budgets(Fraction(-2), -2)
+        phi_family_chain(Fraction(-2), -2)
     with pytest.raises(ValueError):
-        phi_family_budgets(Fraction(1, 2), 0)
+        phi_family_chain(Fraction(1, 2), 0)
     with pytest.raises(ValueError):
-        phi_family_budgets(Fraction(-5, 2), -4)
+        phi_family_chain(Fraction(-5, 2), -4)
 
 
 def test_chern_certificate_scaling():
