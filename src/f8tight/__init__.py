@@ -1,132 +1,49 @@
 """Exact counting and enumeration of tight contact structures on surgeries
 on the figure-eight knot."""
 
-from .cfrac import Form, NegContinuedFraction, eval_cfrac, neg_cfrac, phi, psi, reverse_cfrac
+from .cfrac import Form, neg_cfrac, phi, psi
 from .classification import (
-    ClassificationResult,
-    ContactStructureCert,
     CountKind,
-    Geometry,
-    RowTallies,
-    SteinTag,
-    TightCount,
-    UTTag,
     classify,
     coefficients_between,
     enumerate_structures,
     geometry_of,
-    in_classified_range,
-    involution,
     row_tallies,
     tight_count,
-    universal_tightness_tag,
 )
-from .slope import (
-    INFINITY,
-    ZERO,
-    Direction,
-    Openness,
-    Slope,
-    SlopeArc,
-    UnimodularMatrix,
-    apply_unimodular,
-    det,
-    in_arc,
-    is_farey_adjacent,
-    neighbors_in_arc,
-    orientation,
-    parse_slope,
-    reduce,
-)
-from .surgery_enum import (
-    ChernCertificate,
-    Family,
-    chern_certificate,
-    choice_count,
-    smooth_framing_check,
-    stabilization_tuples,
-)
-from .tight_counts import (
-    BasicSliceChain,
-    SignSequence,
-    SolidTorusSpec,
-    descent_path,
-    enumerate_sign_sequences,
-    factorization_matrix,
-    solid_torus_count,
-    solid_torus_spec,
-)
+from .slope import Slope, parse_slope
+from .surgery_enum import smooth_framing_check
+from .tight_counts import solid_torus_count, solid_torus_spec
 from .torus_dynamics import (
     AttachSide,
     BypassMove,
     SlopeWindow,
-    ThickeningPath,
     bypass_step,
-    has_boundary_parallel_bypass,
     slopes_in_window,
     thicken_path,
 )
 
 __all__ = [
     "AttachSide",
-    "BasicSliceChain",
     "BypassMove",
-    "ChernCertificate",
-    "ClassificationResult",
-    "ContactStructureCert",
     "CountKind",
-    "Direction",
-    "Family",
     "Form",
-    "Geometry",
-    "INFINITY",
-    "NegContinuedFraction",
-    "Openness",
-    "RowTallies",
-    "SignSequence",
     "Slope",
-    "SlopeArc",
     "SlopeWindow",
-    "SolidTorusSpec",
-    "SteinTag",
-    "ThickeningPath",
-    "TightCount",
-    "UTTag",
-    "UnimodularMatrix",
-    "ZERO",
-    "apply_unimodular",
     "bypass_step",
-    "chern_certificate",
-    "choice_count",
     "classify",
     "coefficients_between",
-    "descent_path",
-    "det",
-    "enumerate_sign_sequences",
     "enumerate_structures",
-    "eval_cfrac",
-    "factorization_matrix",
     "geometry_of",
-    "has_boundary_parallel_bypass",
-    "in_arc",
-    "in_classified_range",
-    "involution",
-    "is_farey_adjacent",
     "neg_cfrac",
-    "neighbors_in_arc",
-    "orientation",
     "parse_slope",
     "phi",
     "psi",
-    "reduce",
-    "reverse_cfrac",
     "row_tallies",
     "slopes_in_window",
     "smooth_framing_check",
     "solid_torus_count",
     "solid_torus_spec",
-    "stabilization_tuples",
     "thicken_path",
     "tight_count",
-    "universal_tightness_tag",
 ]

@@ -98,22 +98,6 @@ class NegContinuedFraction:
         return f"[{body}]:{self.form.value}"
 
 
-def parse_cfrac(text: str) -> NegContinuedFraction:
-    """Parse the ``[r0,r1,...]:std`` / ``:st`` notation produced by str()."""
-    text = text.strip()
-    body, _, tag = text.rpartition(":")
-    if not body or not tag:
-        raise ValueError(f"malformed continued fraction {text!r}")
-    body = body.strip()
-    if not (body.startswith("[") and body.endswith("]")):
-        raise ValueError(f"malformed digit list {body!r}")
-    digits = tuple(int(part) for part in body[1:-1].split(","))
-    forms = {f.value: f for f in Form}
-    if tag not in forms:
-        raise ValueError(f"unknown form tag {tag!r}")
-    return NegContinuedFraction(digits, forms[tag])
-
-
 def neg_cfrac(x: Fraction | int, form: Form = Form.STANDARD) -> NegContinuedFraction:
     """Floor-greedy expansion of x in the requested normal form.
 

@@ -22,10 +22,16 @@ from enum import Enum
 from fractions import Fraction
 
 from .cfrac import NegContinuedFraction, neg_cfrac, phi, psi, standard_product
-from .slope import Slope
-from .surgery_enum import ChernCertificate, Family, chain_budgets, phi_family_chain
+from .slope import ZERO, Slope
+from .surgery_enum import chain_budgets, phi_family_chain
 
-TOROIDAL_COEFFICIENTS = (Fraction(0), Fraction(4), Fraction(-4))
+TOROIDAL_COEFFICIENTS = (ZERO, Slope(4, 1), Slope(-4, 1))
+
+
+class Family(Enum):
+    PSI_STD = "PsiStd"
+    PHI_OVERTWISTED = "PhiOvertwisted"
+    POSITIVE_R = "PositiveR"
 
 
 class Geometry(Enum):
@@ -66,18 +72,24 @@ class TightCount:
 
 @dataclass(frozen=True)
 class ContactStructureCert:
-    """One tight structure: its certificate and fillability tags.
+    """One tight structure: its Chern certificate and fillability tags.
 
-    Every classified structure is strongly fillable, so that tag is not
-    stored; the serializers print it as "Yes".
+    Within a fixed family and surgery coefficient, structures coincide
+    exactly when their evaluation lists do.  The evaluations are the
+    rotation numbers of one stabilization choice times `scale`, the
+    homology order |n| for the overtwisted-background family and 1 for
+    the other two.  Every classified structure is strongly fillable, so
+    that tag is not stored; the serializers print it as "Yes".
     """
 
-    certificate: ChernCertificate
+    family: Family
+    evaluations: tuple[int, ...]
+    scale: int
     stein: SteinTag
     universally_tight: UTTag
 
     def __post_init__(self) -> None:
-        if self.certificate.family is Family.PSI_STD and self.universally_tight is not UTTag.NO:
+        if self.family is Family.PSI_STD and self.universally_tight is not UTTag.NO:
             raise ValueError("structures in the PsiStd family are never universally tight")
 
 
@@ -89,10 +101,11 @@ class ClassificationResult:
     structures: tuple[ContactStructureCert, ...]
 
     def __post_init__(self) -> None:
-        f = finite_coefficient(self.coefficient)
-        if self.count.kind is CountKind.INFINITE and f not in TOROIDAL_COEFFICIENTS:
+        r = self.coefficient
+        f = finite_coefficient(r)
+        if self.count.kind is CountKind.INFINITE and r not in TOROIDAL_COEFFICIENTS:
             raise ValueError("only 0 and ±4 have infinitely many tight structures")
-        if self.count.kind is CountKind.LOWER_BOUND and (in_classified_range(f) or f in TOROIDAL_COEFFICIENTS):
+        if self.count.kind is CountKind.LOWER_BOUND and (in_classified_range(f) or r in TOROIDAL_COEFFICIENTS):
             raise ValueError("lower bounds only occur off the classified range")
         if self.count.kind is CountKind.FINITE and self.count.value != len(self.structures):
             raise ValueError("finite count must equal the number of certificates")
@@ -161,10 +174,10 @@ def coefficients_between(start: Fraction, stop: Fraction, max_denominator: int) 
 
 def geometry_of(r: Slope) -> Geometry:
     """Geometric type of M(r): toroidal, small Seifert fibered, or hyperbolic."""
-    f = finite_coefficient(r)
-    if f in TOROIDAL_COEFFICIENTS:
+    finite_coefficient(r)  # refuses ∞ with the domain error
+    if r in TOROIDAL_COEFFICIENTS:
         return Geometry.TOROIDAL
-    if f.denominator == 1 and abs(f) <= 3:
+    if r.den == 1 and abs(r.num) <= 3:
         return Geometry.SMALL_SEIFERT
     return Geometry.HYPERBOLIC
 
@@ -211,7 +224,7 @@ def row_tallies(r: Slope) -> RowTallies:
     for r ≥ −9.
     """
     f = finite_coefficient(r)
-    if f in TOROIDAL_COEFFICIENTS:
+    if r in TOROIDAL_COEFFICIENTS:
         return RowTallies(TightCount(CountKind.INFINITE))
     phi_r, psi_r = phi(f), psi(f)
     total = 2 * phi_r if f > 0 else phi_r + psi_r
@@ -224,20 +237,15 @@ def row_tallies(r: Slope) -> RowTallies:
     return RowTallies(TightCount(CountKind.FINITE, total), ut, candidates, total if f >= -9 else psi_r)
 
 
-# L′ carries contact −2 on tb = 1: a one-component chain with budget 1,
-# whose two rotation numbers ±1 are the sign listed outermost.
-L_PRIME_BUDGETS = (1,)
-
-
 def structure_families(r: Slope) -> list[tuple[Family, NegContinuedFraction | None, int]]:
     """The families of tight structures on M(r) in enumeration order, as (family, chain, scale).
 
     `chain` is the one expansion the family's budgets are read from, by
     `family_size` and `family_budgets`: r + 3 for the standard-background
     family (r < −3, listed first), −1/t (t the fractional part of r) for
-    the overtwisted-background one, 1/(1 − r) for positive r, after L′.
-    It is None where nothing is expanded: the integral overtwisted family
-    and r = 1, where L is erased.
+    the overtwisted-background one, 1/(1 − r) for positive r.  It is
+    None where nothing is expanded: the integral overtwisted family and
+    r = 1, where L is erased.
     """
     f = finite_coefficient(r)
     if not in_classified_range(f):
@@ -253,48 +261,31 @@ def structure_families(r: Slope) -> list[tuple[Family, NegContinuedFraction | No
 
 
 def family_size(family: Family, chain: NegContinuedFraction | None) -> int:
-    """Π(b + 1) over the family's budgets: the standard product, ×2 for L′."""
+    """Π(b + 1) over the chain's budgets, the standard product; ×2 for the two L′ signs."""
     size = 1 if chain is None else standard_product(chain)
     return 2 * size if family is Family.POSITIVE_R else size
 
 
 def family_budgets(family: Family, chain: NegContinuedFraction | None) -> tuple[int, ...]:
-    """The family's stabilization budgets, L′ first for positive r."""
-    if family is Family.POSITIVE_R:
-        return L_PRIME_BUDGETS + (() if chain is None else chain_budgets(chain))
-    return (0,) if chain is None else chain_budgets(chain)
+    """The stabilization budgets of the family's chain.
 
-
-def universal_tightness_tag(cert: ChernCertificate, r: Slope, budgets: tuple[int, ...]) -> UTTag:
-    """Tag a certificate as universally tight, not, or an unresolved pair.
-
-    `budgets` are the stabilization budgets of the chain behind the
-    certificate's family, L′ first for positive r.  Uniform-sign tuples
-    (every component at an extremal rotation number, all nonzero
-    evaluations sharing one sign) are the candidates; they are definitely
-    universally tight for negative r and for integral positive r, and an
-    unresolved 2-or-4 pair for non-integral positive r.  The
-    standard-background family is always virtually overtwisted.
-    `Structures` reads the same tags off its block corners.
+    Without a chain, the integral overtwisted family is one unstabilized
+    knot, and r = 1 is L′ alone, which `Structures.blocks` adds.
     """
-    if cert.family is Family.PSI_STD:
-        return UTTag.NO
-    rots = [e // cert.scale for e in cert.evaluations]
-    if cert.family is Family.POSITIVE_R:
-        # the sign on L′ does not affect universal tightness
-        rots, budgets = rots[1:], budgets[1:]
-    extremal = all(abs(rot) == b for rot, b in zip(rots, budgets))
-    signs = {1 if rot > 0 else -1 for rot in rots if rot != 0}
-    if not extremal or len(signs) > 1:
-        return UTTag.NO
-    return corner_tag(cert.family, r)
+    if chain is None:
+        return () if family is Family.POSITIVE_R else (0,)
+    return chain_budgets(chain)
 
 
 def corner_tag(family: Family, r: Slope) -> UTTag:
     """The tag of a family's uniform-sign tuples, all at −b or all at +b.
 
-    These are the first and last points of each block of its lattice
-    (`Structures.blocks`); every other point is tagged UTTag.NO.
+    These are the candidates: universally tight for negative r and for
+    integral positive r, an unresolved 2-or-4 pair for non-integral
+    positive r, and never in the standard-background family, which is
+    always virtually overtwisted.  They are the first and last points of
+    each block of its lattice (`Structures.blocks`); every other point is
+    tagged UTTag.NO.
     """
     if family is Family.PSI_STD:
         return UTTag.NO
@@ -335,16 +326,17 @@ class Structures(Sequence):
         each slot the evaluations scale·rot of one component, rot = −b,
         −b + 2, ..., b.  Its first and last points are its uniform-sign
         tuples (all at −b, all at +b), tagged `corner`; every other point
-        is UTTag.NO.  For positive r each L′ sign heads a block of its own,
-        whose L′ slot holds that sign alone.
+        is UTTag.NO.  For positive r, L′ (contact −2 on tb = 1, budget 1)
+        comes first: each of its signs −1, 1 heads a block of its own over
+        the chain's slots, and does not affect universal tightness.
         """
         r = self.coefficient
         for family, chain, scale in self.families:
             slots = [range(-scale * b, scale * b + 1, 2 * scale) for b in family_budgets(family, chain)]
             stein, corner = stein_tag(family, r.as_fraction()), corner_tag(family, r)
             if family is Family.POSITIVE_R:
-                for sign in slots[0]:
-                    yield family, scale, stein, [range(sign, sign + 1), *slots[1:]], corner
+                for sign in (-1, 1):
+                    yield family, scale, stein, [range(sign, sign + 1), *slots], corner
             else:
                 yield family, scale, stein, slots, corner
 
@@ -353,7 +345,7 @@ class Structures(Sequence):
             last = math.prod(map(len, slots)) - 1
             for k, evaluations in enumerate(itertools.product(*slots)):
                 tag = corner if k in (0, last) else UTTag.NO
-                yield ContactStructureCert(ChernCertificate(family, evaluations, scale), stein, tag)
+                yield ContactStructureCert(family, evaluations, scale, stein, tag)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -371,7 +363,7 @@ class Structures(Sequence):
         for slot in reversed(slots):
             k, d = divmod(k, len(slot))
             digits.append(slot[d])
-        return ContactStructureCert(ChernCertificate(family, tuple(reversed(digits)), scale), stein, tag)
+        return ContactStructureCert(family, tuple(reversed(digits)), scale, stein, tag)
 
 
 def enumerate_structures(r: Slope) -> Structures:
@@ -390,8 +382,7 @@ def involution(cert: ContactStructureCert) -> ContactStructureCert:
     Negates all evaluations and keeps the family and tags; on each full
     enumeration it acts as a permutation.
     """
-    negated = replace(cert.certificate, evaluations=tuple(-e for e in cert.certificate.evaluations))
-    return replace(cert, certificate=negated)
+    return replace(cert, evaluations=tuple(-e for e in cert.evaluations))
 
 
 def classify(r: Slope) -> ClassificationResult:
@@ -418,9 +409,9 @@ def count_as_json(count: TightCount) -> dict[str, object]:
 
 def structure_as_json(cert: ContactStructureCert) -> dict[str, object]:
     return {
-        "family": cert.certificate.family.value,
-        "evaluations": [str(e) for e in cert.certificate.evaluations],
-        "scale": cert.certificate.scale,
+        "family": cert.family.value,
+        "evaluations": [str(e) for e in cert.evaluations],
+        "scale": cert.scale,
         "stein": cert.stein.value,
         "strong": "Yes",
         "universally_tight": cert.universally_tight.value,

@@ -1,4 +1,4 @@
-"""Legendrian surgery chains and stabilization certificates.
+"""Legendrian surgery chains and their stabilization budgets.
 
 Negative contact surgery on a Legendrian knot unrolls into a chain of
 Legendrian surgeries: expand the coefficient as [r0, ..., rn] in standard
@@ -26,41 +26,9 @@ rotation numbers and evaluations are integers throughout.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 from .cfrac import Form, NegContinuedFraction, neg_cfrac, standard_product
-
-
-class Family(Enum):
-    PSI_STD = "PsiStd"
-    PHI_OVERTWISTED = "PhiOvertwisted"
-    POSITIVE_R = "PositiveR"
-
-
-@dataclass(frozen=True)
-class ChernCertificate:
-    """Distinguishing invariant of one contact structure.
-
-    Within a fixed family and surgery coefficient, structures coincide
-    exactly when their evaluation lists do.
-    """
-
-    family: Family
-    evaluations: tuple[int, ...]
-    scale: int
-
-
-def stabilization_tuples(budgets: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Every way to spend the budgets, as per-component rotation numbers.
-
-    A component with budget b reaches −b, −b + 2, ..., b.  Components
-    choose independently, so the list has Π(b + 1) entries, ordered
-    lattice-fashion with each slot ascending.
-    """
-    return list(itertools.product(*(range(-b, b + 1, 2) for b in budgets)))
 
 
 def _contact_expansion(r_contact: Fraction | int) -> NegContinuedFraction:
@@ -108,19 +76,6 @@ def phi_family_chain(r: Fraction, n: int) -> NegContinuedFraction:
         raise ValueError(f"{r} is not in the window ({n}, {n + 1})")
     s = n + 1 - r
     return _contact_expansion(-1 / (1 - s))
-
-
-def chern_certificate(family: Family, rots: tuple[int, ...], scale: int) -> ChernCertificate:
-    """Scale a rotation tuple into Chern evaluations.
-
-    The scale is the homology order |n| for the overtwisted-background
-    family and must be 1 for the other two.
-    """
-    if scale < 1:
-        raise ValueError("scale must be positive")
-    if family is not Family.PHI_OVERTWISTED and scale != 1:
-        raise ValueError(f"family {family.value} does not scale evaluations")
-    return ChernCertificate(family, tuple(scale * rot for rot in rots), scale)
 
 
 def smooth_framing_check(r: Fraction | int) -> bool:

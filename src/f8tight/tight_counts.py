@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .cfrac import Form, NegContinuedFraction, cfrac_matrix, neg_cfrac, solid_torus_product
+from .cfrac import Form, neg_cfrac, solid_torus_product
 from .slope import (
     INFINITY,
     Slope,
@@ -260,15 +260,3 @@ def solid_torus_count(spec: SolidTorusSpec) -> int:
     c = spec.normalized_dividing.as_fraction()
     cf = neg_cfrac(1 / c, Form.SOLID_TORUS)
     return solid_torus_product(cf)
-
-
-def factorization_matrix(c: NegContinuedFraction) -> UnimodularMatrix:
-    """Left-to-right product of [[−ri, 1], [−1, 0]] over the digits.
-
-    The first column, read as a slope vector, is the value of the
-    expansion; the determinant is always +1.  A run of k digits −2 is the
-    single factor [[k+1, k], [−k, 1−k]].
-    """
-    if c.form is not Form.STANDARD:
-        raise ValueError("factorization_matrix expects the standard form")
-    return UnimodularMatrix(*cfrac_matrix(c))

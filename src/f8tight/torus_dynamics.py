@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
+from .classification import TOROIDAL_COEFFICIENTS
 from .slope import (
     INFINITY,
     ZERO,
@@ -202,7 +203,7 @@ def slopes_in_window(w: SlopeWindow) -> list[Slope]:
     coefficients 0 and ±4 have no window.
     """
     r = w.surgery_coefficient
-    if r in (ZERO, Slope(4, 1), Slope(-4, 1)):
+    if r in TOROIDAL_COEFFICIENTS:
         raise ValueError(f"no slope window at toroidal coefficient {r}")
     arc = SlopeArc(r, INFINITY, Direction.CLOCKWISE, Openness.HALF_OPEN_AT_TO)
     return neighbors_in_arc(r, arc, w.denominator_bound)

@@ -17,23 +17,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from f8tight import (
-    INFINITY,
+from f8tight.cfrac import (
     Form,
     NegContinuedFraction,
-    Slope,
+    cfrac_matrix,
     eval_cfrac,
-    factorization_matrix,
     neg_cfrac,
     phi,
     psi,
     reverse_cfrac,
-    solid_torus_count,
-    solid_torus_spec,
-    tight_count,
+    solid_torus_product,
+    standard_product,
 )
-from f8tight.cfrac import parse_cfrac, solid_torus_product, standard_product
+from f8tight.classification import tight_count
+from f8tight.slope import INFINITY, Slope
 from f8tight.surgery_enum import choice_count
+from f8tight.tight_counts import solid_torus_count, solid_torus_spec
 
 strict_digits = st.lists(st.integers(-7, -2), min_size=0, max_size=6)
 negatives = st.fractions(min_value=-60, max_value=Fraction(-1, 40), max_denominator=40)
@@ -93,16 +92,6 @@ def test_domain_validation():
     with pytest.raises(ValueError):
         neg_cfrac(Fraction(-1, 2), Form.SOLID_TORUS)
     neg_cfrac(-1, Form.SOLID_TORUS)
-
-
-def test_str_and_parse():
-    cf = neg_cfrac(Fraction(-3, 2))
-    assert str(cf) == "[-2,-2]:std"
-    assert parse_cfrac("[-2,-2]:std") == cf
-    assert parse_cfrac("[-2,-2]:st") == NegContinuedFraction((-2, -2), Form.SOLID_TORUS)
-    for bad in ("", "[-2,-2]", "[-2,-2]:xyz", "-2,-2:std", "[]:std"):
-        with pytest.raises(ValueError):
-            parse_cfrac(bad)
 
 
 @given(negatives)
@@ -322,7 +311,6 @@ def test_blocks_construction_is_canonical():
     assert split == five and hash(split) == hash(five)
     assert split.blocks == ((-2, 5),)
     assert str(split) == "[-2,-2,-2,-2,-2]:std"
-    assert parse_cfrac(str(split)) == split
     for blocks in ([(-2, 0)], [(-3, 1), (-2, -1)]):
         with pytest.raises(ValueError):
             NegContinuedFraction.from_blocks(blocks, Form.STANDARD)
@@ -341,7 +329,7 @@ def test_million_digit_run_round_trips_through_blocks():
     cf = neg_cfrac(x)
     assert cf.blocks == ((-2, MILLION),)
     assert eval_cfrac(cf) == x
-    assert factorization_matrix(cf).entries == (MILLION + 1, MILLION, -MILLION, 1 - MILLION)
+    assert cfrac_matrix(cf) == (MILLION + 1, MILLION, -MILLION, 1 - MILLION)
     head = neg_cfrac(Fraction(-1, MILLION))
     assert head.blocks == ((-1, 1), (-2, MILLION - 1))
     assert eval_cfrac(head) == Fraction(-1, MILLION)

@@ -8,6 +8,7 @@ involution and the JSON serialization act on a full enumeration.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -15,40 +16,33 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from f8tight import (
-    ChernCertificate,
+from f8tight import cfrac, classification, surgery_enum
+from f8tight.cfrac import phi, psi
+from f8tight.classification import (
     ClassificationResult,
     ContactStructureCert,
     CountKind,
     Family,
     Geometry,
-    Slope,
     SteinTag,
     TightCount,
     UTTag,
     classify,
+    coefficients_between,
     enumerate_structures,
+    family_budgets,
+    family_size,
     geometry_of,
     in_classified_range,
     involution,
-    phi,
-    psi,
-    row_tallies,
-    tight_count,
-    universal_tightness_tag,
-)
-from f8tight import cfrac, classification, surgery_enum
-from f8tight.classification import (
-    coefficients_between,
-    family_budgets,
-    family_size,
     result_as_json,
+    row_tallies,
     stein_tag,
     structure_as_json,
     structure_families,
+    tight_count,
 )
-from f8tight.surgery_enum import chern_certificate, stabilization_tuples
-from f8tight.slope import INFINITY, from_rational
+from f8tight.slope import INFINITY, Slope, from_rational
 
 classified = st.fractions(min_value=-30, max_value=30, max_denominator=12).filter(
     in_classified_range
@@ -148,7 +142,7 @@ def test_enumerate_rejects_gap_and_toroidal_coefficients():
 def test_enumeration_frozen_minus_nine_halves():
     certs = enumerate_structures(Slope(-9, 2))
     rows = [
-        (c.certificate.family, c.certificate.evaluations, c.certificate.scale, c.universally_tight)
+        (c.family, c.evaluations, c.scale, c.universally_tight)
         for c in certs
     ]
     assert rows == [
@@ -162,20 +156,20 @@ def test_enumeration_frozen_minus_nine_halves():
 
 def test_enumeration_frozen_minus_five():
     certs = enumerate_structures(Slope(-5, 1))
-    assert [c.certificate.family.value for c in certs] == ["PsiStd", "PsiStd", "PhiOvertwisted"]
-    assert certs[2].certificate.evaluations == (0,)
-    assert certs[2].certificate.scale == 5
+    assert [c.family.value for c in certs] == ["PsiStd", "PsiStd", "PhiOvertwisted"]
+    assert certs[2].evaluations == (0,)
+    assert certs[2].scale == 5
     assert certs[2].universally_tight is UTTag.YES
 
 
 def test_enumeration_frozen_seven_thirds():
     certs = enumerate_structures(Slope(7, 3))
     assert len(certs) == 6
-    assert all(c.certificate.family is Family.POSITIVE_R for c in certs)
+    assert all(c.family is Family.POSITIVE_R for c in certs)
     tags = [c.universally_tight for c in certs]
     assert tags.count(UTTag.CANDIDATE_PAIR) == 4
     assert tags.count(UTTag.NO) == 2
-    flat = [c.certificate.evaluations for c in certs]
+    flat = [c.evaluations for c in certs]
     assert flat == [
         (-1, 0, -2), (-1, 0, 0), (-1, 0, 2),
         (1, 0, -2), (1, 0, 0), (1, 0, 2),
@@ -184,11 +178,11 @@ def test_enumeration_frozen_seven_thirds():
 
 def test_enumeration_frozen_positive_integer():
     certs = enumerate_structures(Slope(3, 1))
-    assert [c.certificate.evaluations for c in certs] == [(-1, 0, 0), (1, 0, 0)]
+    assert [c.evaluations for c in certs] == [(-1, 0, 0), (1, 0, 0)]
     assert all(c.universally_tight is UTTag.YES for c in certs)
 
     unit = enumerate_structures(Slope(1, 1))
-    assert [c.certificate.evaluations for c in unit] == [(-1,), (1,)]
+    assert [c.evaluations for c in unit] == [(-1,), (1,)]
     assert all(c.universally_tight is UTTag.YES for c in unit)
 
 
@@ -196,7 +190,7 @@ def test_stein_tag_threshold():
     at_boundary = enumerate_structures(Slope(-9, 1))
     assert all(c.stein is SteinTag.YES for c in at_boundary)
     below = enumerate_structures(Slope(-10, 1))
-    by_family = {c.certificate.family: c.stein for c in below}
+    by_family = {c.family: c.stein for c in below}
     assert by_family[Family.PSI_STD] is SteinTag.YES
     assert by_family[Family.PHI_OVERTWISTED] is SteinTag.UNKNOWN
 
@@ -209,6 +203,17 @@ def test_enumeration_matches_count_and_is_distinct(r):
     assert len(set(certs)) == len(certs)
 
 
+# L′ carries contact −2 on tb = 1: a one-component chain with budget 1,
+# whose two rotation numbers ±1 are the sign listed outermost.
+L_PRIME_BUDGETS = (1,)
+
+
+def eager_budgets(family: Family, chain) -> tuple[int, ...]:
+    """The budgets of a family's whole lattice, L′ first for positive r."""
+    budgets = family_budgets(family, chain)
+    return L_PRIME_BUDGETS + budgets if family is Family.POSITIVE_R else budgets
+
+
 @given(classified)
 def test_family_sizes_sum_to_the_count(r):
     # The sizes come off the expansions alone; they must be the lattices'.
@@ -216,18 +221,52 @@ def test_family_sizes_sum_to_the_count(r):
     families = structure_families(slope)
     sizes = [family_size(family, chain) for family, chain, _ in families]
     assert sum(sizes) == tight_count(slope).value
-    assert sizes == [math.prod(b + 1 for b in family_budgets(family, chain)) for family, chain, _ in families]
+    assert sizes == [math.prod(b + 1 for b in eager_budgets(family, chain)) for family, chain, _ in families]
+
+
+def stabilization_tuples(budgets: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every way to spend the budgets, as per-component rotation numbers.
+
+    A component with budget b reaches −b, −b + 2, ..., b.  Components
+    choose independently, so the list has Π(b + 1) entries, ordered
+    lattice-fashion with each slot ascending.
+    """
+    return list(itertools.product(*(range(-b, b + 1, 2) for b in budgets)))
+
+
+def universal_tightness_tag(family: Family, rots: tuple[int, ...], r: Slope, budgets: tuple[int, ...]) -> UTTag:
+    """Tag one stabilization choice as universally tight, not, or an unresolved pair.
+
+    Uniform-sign tuples (every component at an extremal rotation number,
+    all nonzero rotation numbers sharing one sign) are the candidates;
+    they are definitely universally tight for negative r and for integral
+    positive r, and an unresolved 2-or-4 pair for non-integral positive r.
+    The standard-background family is always virtually overtwisted, and
+    the sign on L′ does not affect universal tightness.
+    """
+    if family is Family.PSI_STD:
+        return UTTag.NO
+    if family is Family.POSITIVE_R:
+        rots, budgets = rots[1:], budgets[1:]
+    extremal = all(abs(rot) == b for rot, b in zip(rots, budgets))
+    signs = {1 if rot > 0 else -1 for rot in rots if rot != 0}
+    if not extremal or len(signs) > 1:
+        return UTTag.NO
+    if r.num < 0 or r.den == 1:
+        return UTTag.YES
+    return UTTag.CANDIDATE_PAIR
 
 
 def eager_structures(r: Slope) -> list[ContactStructureCert]:
     """The listing as `enumerate_structures` once built it: a certificate per lattice point, each tagged alone."""
     structures = []
     for family, chain, scale in structure_families(r):
-        budgets = family_budgets(family, chain)
+        budgets = eager_budgets(family, chain)
         stein = stein_tag(family, r.as_fraction())
         for rots in stabilization_tuples(budgets):
-            cert = chern_certificate(family, rots, scale)
-            structures.append(ContactStructureCert(cert, stein, universal_tightness_tag(cert, r, budgets)))
+            evaluations = tuple(scale * rot for rot in rots)
+            tag = universal_tightness_tag(family, rots, r, budgets)
+            structures.append(ContactStructureCert(family, evaluations, scale, stein, tag))
     return structures
 
 
@@ -263,7 +302,7 @@ def test_structures_length_spells_out_no_budget(monkeypatch):
 @given(classified)
 def test_family_composition(r):
     slope = from_rational(r)
-    families = [c.certificate.family for c in enumerate_structures(slope)]
+    families = [c.family for c in enumerate_structures(slope)]
     if r > 0:
         assert set(families) == {Family.POSITIVE_R}
     elif r < -3:
@@ -281,7 +320,7 @@ def test_involution_permutes_the_enumeration(r):
     assert set(images) == set(certs)
     for cert, image in zip(certs, images):
         assert involution(image) == cert
-        assert image.certificate.family is cert.certificate.family
+        assert image.family is cert.family
         assert image.universally_tight is cert.universally_tight
         assert image.stein is cert.stein
 
@@ -321,10 +360,10 @@ def test_ut_profile_positive_fractions(r):
 
 
 def test_certificate_validation():
-    cert = ChernCertificate(Family.PSI_STD, (Fraction(1),), 1)
     with pytest.raises(ValueError):
-        ContactStructureCert(cert, SteinTag.YES, UTTag.YES)
-    assert ContactStructureCert(cert, SteinTag.YES, UTTag.NO).certificate is cert
+        ContactStructureCert(Family.PSI_STD, (1,), 1, SteinTag.YES, UTTag.YES)
+    cert = ContactStructureCert(Family.PSI_STD, (1,), 1, SteinTag.YES, UTTag.NO)
+    assert (cert.family, cert.evaluations, cert.scale) == (Family.PSI_STD, (1,), 1)
 
 
 def test_result_validation():
@@ -419,7 +458,7 @@ def test_evaluations_are_ints(r):
     result = classify(from_rational(r))
     assert result.structures
     for c in result.structures:
-        assert all(type(e) is int for e in c.certificate.evaluations), c
+        assert all(type(e) is int for e in c.evaluations), c
 
 
 def test_infinity_is_a_domain_error_naming_the_coefficient():

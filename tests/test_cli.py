@@ -17,8 +17,9 @@ from pathlib import Path
 
 import pytest
 
-from f8tight import Slope, cfrac, classification, classify, surgery_enum, tight_count
-from f8tight.classification import CountKind, coefficients_between, result_as_json
+from f8tight import cfrac, classification, surgery_enum
+from f8tight.classification import CountKind, classify, coefficients_between, result_as_json, tight_count
+from f8tight.slope import Slope
 from f8tight import cli
 from f8tight.cli import run
 
@@ -43,9 +44,9 @@ def enumerate_oracle(r: Slope, as_json: bool) -> str:
     lines = [f"coefficient {result.coefficient}", f"geometry {result.verdict.value}"]
     lines.append(f"count finite {result.count.value}")
     for cert in result.structures:
-        evaluations = ",".join(str(e) for e in cert.certificate.evaluations)
+        evaluations = ",".join(str(e) for e in cert.evaluations)
         lines.append(
-            f"{cert.certificate.family.value} evaluations=({evaluations}) scale={cert.certificate.scale} "
+            f"{cert.family.value} evaluations=({evaluations}) scale={cert.scale} "
             f"stein={cert.stein.value} strong=Yes ut={cert.universally_tight.value}"
         )
     return "\n".join(lines) + "\n"
@@ -242,15 +243,15 @@ def test_enumerate_builds_no_certificates(monkeypatch):
         raise AssertionError("enumerate must not build certificates")
 
     # `enumerate` takes the lazy `enumerate_structures(r)` for its count and
-    # blocks, but must build none of its certificates.
-    for module, name in [
-        (surgery_enum, "chern_certificate"),
-        (surgery_enum, "stabilization_tuples"),
-        (classification, "ChernCertificate"),
+    # blocks, but must build none of its certificates: every certificate is
+    # a `ContactStructureCert`, and `Structures` builds them only when
+    # iterated or indexed.
+    for owner, name in [
         (classification, "ContactStructureCert"),
-        (classification, "universal_tightness_tag"),
+        (classification.Structures, "__iter__"),
+        (classification.Structures, "__getitem__"),
     ]:
-        monkeypatch.setattr(module, name, refuse)
+        monkeypatch.setattr(owner, name, refuse)
     assert run_cli("enumerate", str(r)) == (0, expected[False])
     assert run_cli("enumerate", str(r), "--json") == (0, expected[True])
 
@@ -319,13 +320,16 @@ def test_table_builds_no_certificates(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("table must not build certificates")
 
-    for module, name in [
+    for owner, name in [
+        (classification.Structures, "__iter__"),
+        (classification.Structures, "__getitem__"),
+        (classification, "ContactStructureCert"),
         (classification, "enumerate_structures"),
+        (cli, "enumerate_structures"),
         (classification, "Structures"),
-        (surgery_enum, "stabilization_tuples"),
         (classification, "classify"),
     ]:
-        monkeypatch.setattr(module, name, refuse)
+        monkeypatch.setattr(owner, name, refuse)
     code, text = run_cli("table", "--from", "-30", "--to", "30", "--denominator", "8")
     assert code == 0
     rows = text.splitlines()

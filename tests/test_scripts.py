@@ -1,5 +1,7 @@
-"""The survey scripts: the count survey reads the same coefficient sweep as
-the `table` command, and the thickening survey accounts for every path."""
+"""The survey scripts and the documented surface: the count survey reads
+the same coefficient sweep as the `table` command, the thickening survey
+accounts for every path, and the package exports what the scripts, the
+README and the command line use."""
 
 from __future__ import annotations
 
@@ -11,11 +13,19 @@ import re
 import sys
 from pathlib import Path
 
+import f8tight
 from f8tight import SlopeWindow, slopes_in_window
 from f8tight.cli import run
 from f8tight.slope import from_rational
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
+
+PUBLIC_NAMES = """
+    AttachSide BypassMove CountKind Form Slope SlopeWindow bypass_step classify coefficients_between
+    enumerate_structures geometry_of neg_cfrac parse_slope phi psi row_tallies slopes_in_window
+    smooth_framing_check solid_torus_count solid_torus_spec thicken_path tight_count
+""".split()
 
 
 def load_script(monkeypatch, name: str):
@@ -84,3 +94,30 @@ def test_bench_pairs_summary(monkeypatch):
     assert summary["op_p50_ms"]["pairs_won"] == 2  # the tie in the first pair counts for neither side
     assert summary["ops_per_s"]["base"] == {"median": 10.5, "q1": 9.75, "q3": 11.25, "runs": [10.0, 12.0, 11.0, 9.0]}
     assert summary["op_p50_ms"]["change"]["median"] == 4.0
+
+
+def test_star_import_binds_exactly_the_public_names():
+    assert sorted(f8tight.__all__) == PUBLIC_NAMES
+    namespace: dict[str, object] = {}
+    exec("from f8tight import *", namespace)
+    assert {name for name in namespace if name != "__builtins__"} == set(PUBLIC_NAMES)
+
+
+def test_readme_python_example_prints_its_commented_values():
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"^```python\n(.*?)^```", readme, re.M | re.S).group(1)
+    lines = block.splitlines()
+    namespace: dict[str, object] = {}
+    checked = []
+    for statement in ast.parse(block).body:
+        code = ast.get_source_segment(block, statement)
+        if not isinstance(statement, ast.Expr):
+            exec(code, namespace)
+            continue
+        # the value is commented on the same line or on the next one
+        _, _, comment = lines[statement.lineno - 1].partition("#")
+        if not comment:
+            comment = lines[statement.lineno].lstrip().removeprefix("#")
+        assert eval(code, namespace) == ast.literal_eval(comment.strip()), code
+        checked.append(code)
+    assert checked == ["result.count.value", "[c.evaluations for c in result.structures]"]

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from f8tight import (
+from f8tight.slope import (
     INFINITY,
     ZERO,
     Direction,
@@ -26,7 +26,9 @@ from f8tight import (
     SlopeArc,
     UnimodularMatrix,
     apply_unimodular,
+    basis_completion,
     det,
+    from_rational,
     in_arc,
     is_farey_adjacent,
     neighbors_in_arc,
@@ -34,7 +36,6 @@ from f8tight import (
     parse_slope,
     reduce,
 )
-from f8tight.slope import basis_completion, from_rational
 
 
 def sorted_filter_neighbors(s: Slope, arc: SlopeArc, max_denominator: int) -> list[Slope]:

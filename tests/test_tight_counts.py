@@ -18,40 +18,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from f8tight import (
+from f8tight.cfrac import Form, cfrac_matrix, neg_cfrac, phi, psi
+from f8tight.slope import (
     INFINITY,
-    AttachSide,
-    BasicSliceChain,
-    BypassMove,
-    Form,
-    SignSequence,
     Slope,
     UnimodularMatrix,
     apply_unimodular,
-    bypass_step,
-    descent_path,
     det,
-    enumerate_sign_sequences,
-    factorization_matrix,
+    from_rational,
     is_farey_adjacent,
-    neg_cfrac,
-    phi,
-    psi,
     reduce,
-    solid_torus_count,
-    solid_torus_spec,
 )
-from f8tight.slope import from_rational
 from f8tight.tight_counts import (
     CHAIN_EDGE_LIMIT,
     MINUS_ONE,
     NEGATIVE,
     POSITIVE,
     SIGN_LIMIT,
+    BasicSliceChain,
+    SignSequence,
     SliceBlock,
+    SolidTorusSpec,
+    descent_path,
+    enumerate_sign_sequences,
     format_sign_sequence,
     induced_chain,
+    solid_torus_count,
+    solid_torus_spec,
 )
+from f8tight.torus_dynamics import AttachSide, BypassMove, bypass_step
 
 
 def interval_bfs_distance(a: Slope, b: Slope) -> int:
@@ -342,8 +337,6 @@ def test_normalization_records_canonical_data():
 def test_spec_validation():
     with pytest.raises(ValueError):
         solid_torus_spec(Slope(1, 2), Slope(1, 2))
-    from f8tight import SolidTorusSpec
-
     with pytest.raises(ValueError):
         SolidTorusSpec(Slope(1, 2), Slope(1, 3), UnimodularMatrix.identity(), 0)
 
@@ -431,22 +424,16 @@ def test_exceptional_fiber_count_recovers_psi(r, expected):
 
 
 def test_factorization_matrix_frozen():
-    m = factorization_matrix(neg_cfrac(Fraction(-3, 2)))
-    assert m.entries == (3, 2, -2, -1)
-    assert reduce(m.a, m.c) == Slope(-3, 2)
-    single = factorization_matrix(neg_cfrac(Fraction(-1)))
-    assert single.entries == (1, 1, -1, 0)
-    assert reduce(single.a, single.c) == Slope(-1, 1)
-
-
-def test_factorization_matrix_requires_standard_form():
-    with pytest.raises(ValueError):
-        factorization_matrix(neg_cfrac(Fraction(-3, 2), Form.SOLID_TORUS))
+    a, b, c, d = cfrac_matrix(neg_cfrac(Fraction(-3, 2)))
+    assert (a, b, c, d) == (3, 2, -2, -1)
+    assert reduce(a, c) == Slope(-3, 2)
+    a, b, c, d = cfrac_matrix(neg_cfrac(Fraction(-1)))
+    assert (a, b, c, d) == (1, 1, -1, 0)
+    assert reduce(a, c) == Slope(-1, 1)
 
 
 @given(st.fractions(min_value=-30, max_value=Fraction(-1, 30), max_denominator=30))
 def test_factorization_matrix_recovers_its_value(x):
-    cf = neg_cfrac(x)
-    m = factorization_matrix(cf)
-    assert m.det == 1
-    assert reduce(m.a, m.c) == from_rational(x)
+    a, b, c, d = cfrac_matrix(neg_cfrac(x))
+    assert a * d - b * c == 1
+    assert reduce(a, c) == from_rational(x)

@@ -15,29 +15,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from f8tight import (
+from f8tight.classification import in_classified_range
+from f8tight.slope import (
     INFINITY,
     ZERO,
-    AttachSide,
-    BypassMove,
     Direction,
     Openness,
     Slope,
     SlopeArc,
+    from_rational,
+    in_arc,
+    is_farey_adjacent,
+    neighbors_in_arc,
+    reduce,
+)
+from f8tight.torus_dynamics import (
+    MINUS_THREE,
+    AttachSide,
+    BypassMove,
     SlopeWindow,
     ThickeningPath,
     bypass_step,
     has_boundary_parallel_bypass,
-    in_arc,
-    in_classified_range,
-    is_farey_adjacent,
-    neighbors_in_arc,
-    reduce,
     slopes_in_window,
     thicken_path,
 )
-from f8tight.slope import from_rational
-from f8tight.torus_dynamics import MINUS_THREE
 
 
 def oracle_bypass(s: Slope, move: BypassMove) -> Slope:
