@@ -57,11 +57,18 @@ COUNT_WORDS = {
 }
 
 
-def _fraction(text: str) -> Fraction:
+# argparse names a value it cannot read by its type's __name__
+# ("invalid slope value: 'abc'"), so the two argument types are named for
+# the kind of value they read.
+def rational(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(str(exc)) from exc
+
+
+def slope(text: str) -> Slope:
+    return parse_slope(text)
 
 
 def _show(compute):
@@ -85,56 +92,56 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="tight-structure count for M(r)")
-    p.add_argument("r", type=parse_slope)
+    p.add_argument("r", type=slope)
     p.set_defaults(func=_show(lambda a: _format_count(a.r)))
 
     p = sub.add_parser("enumerate", help="list the certificates for r in the classified range")
-    p.add_argument("r", type=parse_slope)
+    p.add_argument("r", type=slope)
     p.add_argument("--json", action="store_true", dest="as_json")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("phi", help="the per-unit-interval count function")
-    p.add_argument("r", type=_fraction)
+    p.add_argument("r", type=rational)
     p.set_defaults(func=_show(lambda a: phi(a.r)))
 
     p = sub.add_parser("psi", help="the companion count supported on r < -3")
-    p.add_argument("r", type=_fraction)
+    p.add_argument("r", type=rational)
     p.set_defaults(func=_show(lambda a: psi(a.r)))
 
     p = sub.add_parser("cfrac", help="negative continued fraction expansion")
-    p.add_argument("x", type=_fraction)
+    p.add_argument("x", type=rational)
     p.add_argument("--form", choices=["std", "st"], default="std")
     p.set_defaults(func=_show(lambda a: neg_cfrac(a.x, Form(a.form))))
 
     p = sub.add_parser("bypass-step", help="one bypass move on a convex torus")
-    p.add_argument("s", type=parse_slope)
-    p.add_argument("arc", type=parse_slope)
+    p.add_argument("s", type=slope)
+    p.add_argument("arc", type=slope)
     p.add_argument("--back", action="store_true")
     p.set_defaults(
         func=_show(lambda a: bypass_step(a.s, BypassMove(AttachSide.BACK if a.back else AttachSide.FRONT, a.arc)))
     )
 
     p = sub.add_parser("thicken", help="iterate slope-0 bypass moves to -3 or inf")
-    p.add_argument("s", type=parse_slope)
+    p.add_argument("s", type=slope)
     p.set_defaults(func=_cmd_thicken)
 
     p = sub.add_parser("window", help="admissible neighbor slopes of a coefficient")
-    p.add_argument("r", type=parse_slope)
+    p.add_argument("r", type=slope)
     p.add_argument("--bound", type=int, required=True)
     p.set_defaults(func=_show(lambda a: " ".join(map(str, slopes_in_window(SlopeWindow(a.r, a.bound))))))
 
     p = sub.add_parser("solid-torus", help="tight-structure count on a solid torus")
-    p.add_argument("--meridian", type=parse_slope, required=True)
-    p.add_argument("--dividing", type=parse_slope, required=True)
+    p.add_argument("--meridian", type=slope, required=True)
+    p.add_argument("--dividing", type=slope, required=True)
     p.set_defaults(func=_show(lambda a: solid_torus_count(solid_torus_spec(a.meridian, a.dividing))))
 
     p = sub.add_parser("check-framing", help="replay the Kirby moves for positive r")
-    p.add_argument("r", type=_fraction)
+    p.add_argument("r", type=rational)
     p.set_defaults(func=_show(lambda a: "true" if smooth_framing_check(a.r) else "false"))
 
     p = sub.add_parser("table", help="classification table over a coefficient range")
-    p.add_argument("--from", dest="start", type=_fraction, required=True)
-    p.add_argument("--to", dest="stop", type=_fraction, required=True)
+    p.add_argument("--from", dest="start", type=rational, required=True)
+    p.add_argument("--to", dest="stop", type=rational, required=True)
     p.add_argument("--denominator", type=int, default=1)
     p.set_defaults(func=_cmd_table)
 

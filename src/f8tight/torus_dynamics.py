@@ -20,20 +20,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .classification import TOROIDAL_COEFFICIENTS
-from .slope import (
-    INFINITY,
-    ZERO,
-    Direction,
-    Openness,
-    Slope,
-    SlopeArc,
-    basis_completion,
-    det,
-    is_farey_adjacent,
-    neighbors_in_arc,
-    reduce,
-)
+from .classification import TOROIDAL_COEFFICIENTS, finite_coefficient
+from .slope import INFINITY, ZERO, Slope, basis_completion, det, is_farey_adjacent, reduce
 
 MINUS_THREE = Slope(-3, 1)
 
@@ -91,7 +79,7 @@ class SlopeWindow:
 
     def __post_init__(self) -> None:
         if self.denominator_bound < 1:
-            raise ValueError("denominator_bound must be positive")
+            raise ValueError(f"window denominator bound must be positive, got {self.denominator_bound}")
 
 
 def bypass_step(s: Slope, move: BypassMove) -> Slope:
@@ -200,10 +188,16 @@ def slopes_in_window(w: SlopeWindow) -> list[Slope]:
     """Farey neighbors of the surgery coefficient, clockwise of it up to ∞.
 
     Ordered along the arc; ∞ itself appears when adjacent.  The toroidal
-    coefficients 0 and ±4 have no window.
+    coefficients 0 and ±4 have no window, and ∞ is not a coefficient.
     """
     r = w.surgery_coefficient
+    finite_coefficient(r)  # refuses ∞ with the domain error
     if r in TOROIDAL_COEFFICIENTS:
         raise ValueError(f"no slope window at toroidal coefficient {r}")
-    arc = SlopeArc(r, INFINITY, Direction.CLOCKWISE, Openness.HALF_OPEN_AT_TO)
-    return neighbors_in_arc(r, arc, w.denominator_bound)
+    # For r = p/q the neighbor of sweep index k (`basis_completion`) is
+    # t = (−u − k·p)/(−v − k·q), and t − r = 1/(q·(−v − k·q)).  So the
+    # neighbors above r with denominator ≤ bound are one range of k, in
+    # ascending order, ending at ∞ (the vector (1, 0)) exactly when q = 1.
+    u, v = basis_completion(r)
+    p, q = r.num, r.den
+    return [Slope(-u - k * p, -v - k * q) for k in range(-((w.denominator_bound + v) // q), -v // q + 1)]

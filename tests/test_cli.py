@@ -156,6 +156,11 @@ def test_window_rejects_toroidal(capsys):
     assert "domain error:" in capsys.readouterr().err
 
 
+def test_window_rejects_a_zero_bound(capsys):
+    assert run_cli("window", "-5", "--bound", "0") == (3, "")
+    assert capsys.readouterr().err == "domain error: window denominator bound must be positive, got 0\n"
+
+
 def test_solid_torus_command():
     args = ("solid-torus", "--meridian", "inf", "--dividing")
     assert run_cli(*args, "-5/3") == (0, "2\n")
@@ -384,6 +389,12 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, kind", [(("window", "abc", "--bound", "2"), "slope"), (("phi", "abc"), "rational")])
+def test_usage_errors_name_the_kind_of_value(capsys, argv, kind):
+    assert run_cli(*argv) == (2, "")
+    assert capsys.readouterr().err.endswith(f"error: argument r: invalid {kind} value: 'abc'\n")
+
+
 def test_main_subprocess_roundtrip():
     script = "import sys; from f8tight.cli import main; sys.argv = ['f8tight'] + sys.argv[1:]; main()"
     proc = subprocess.run(
@@ -437,7 +448,10 @@ def test_module_entry_point():
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "finite 4\n", ""), module
 
 
-@pytest.mark.parametrize("argv", [("count", "inf"), ("count", "-inf"), ("enumerate", "inf"), ("enumerate", "1/0")])
+@pytest.mark.parametrize(
+    "argv",
+    [("count", "inf"), ("count", "-inf"), ("enumerate", "inf"), ("enumerate", "1/0"), ("window", "inf", "--bound", "3")],
+)
 def test_infinity_is_a_domain_error(capsys, argv):
     code, text = run_cli(*argv)
     assert (code, text) == (3, "")

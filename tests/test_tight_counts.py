@@ -338,7 +338,7 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         solid_torus_spec(Slope(1, 2), Slope(1, 2))
     with pytest.raises(ValueError):
-        SolidTorusSpec(Slope(1, 2), Slope(1, 3), UnimodularMatrix.identity(), 0)
+        SolidTorusSpec(Slope(1, 2), Slope(1, 3), UnimodularMatrix(1, 0, 0, 1), 0)
 
 
 @given(slopes, slopes)

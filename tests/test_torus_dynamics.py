@@ -1,8 +1,10 @@
 """Bypass moves, thickening orbits, and slope windows.
 
 Oracle for a single move: list every Farey neighbor of s inside the
-traversal arc (via the already-tested neighbor enumeration) and take the
-one furthest along it.  The closed-form step must agree.  Oracle for a
+traversal arc by brute force, ordered on the circle cut open at infinity
+(`circle_order`), and take the one furthest along it.  The closed-form
+step must agree.  Oracle for a slope window: every neighbor above r with
+a small enough denominator, found by brute force.  Oracle for a
 thickening path: the walk that makes one bypass move per step and checks
 every slope it reaches; the run-at-a-time walk must agree, errors included.
 """
@@ -15,20 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circle_order import Arc, oracle_in_arc, oracle_neighbors
 from f8tight.classification import in_classified_range
-from f8tight.slope import (
-    INFINITY,
-    ZERO,
-    Direction,
-    Openness,
-    Slope,
-    SlopeArc,
-    from_rational,
-    in_arc,
-    is_farey_adjacent,
-    neighbors_in_arc,
-    reduce,
-)
+from f8tight.slope import INFINITY, ZERO, Slope, det, from_rational, is_farey_adjacent, reduce
 from f8tight.torus_dynamics import (
     MINUS_THREE,
     AttachSide,
@@ -44,22 +35,19 @@ from f8tight.torus_dynamics import (
 
 def oracle_bypass(s: Slope, move: BypassMove) -> Slope:
     r = move.arc_slope
-    direction = (
-        Direction.CLOCKWISE if move.attach_side is AttachSide.FRONT else Direction.COUNTERCLOCKWISE
-    )
-    arc = SlopeArc(s, r, direction, Openness.HALF_OPEN_AT_TO)
+    arc = Arc(s, r, clockwise=move.attach_side is AttachSide.FRONT)
     if s.is_infinity:
         f = r.as_fraction()
         cands = [
             reduce(n, 1)
             for n in range(math.floor(f) - 2, math.ceil(f) + 3)
-            if in_arc(reduce(n, 1), arc)
+            if oracle_in_arc(reduce(n, 1), arc)
         ]
         key = lambda c: c.as_fraction()
         picked = max(cands, key=key) if move.attach_side is AttachSide.FRONT else min(cands, key=key)
         return picked
     # the step result never has denominator above den(s) + den(r)
-    return neighbors_in_arc(s, arc, s.den + r.den + 2)[-1]
+    return oracle_neighbors(s, arc, s.den + r.den + 2)[-1]
 
 
 def stepwise_thicken(s: Slope) -> ThickeningPath:
@@ -294,11 +282,28 @@ def test_window_rejects_toroidal_coefficients():
         SlopeWindow(Slope(-5, 1), 0)
 
 
+@given(finite_slopes, st.integers(1, 40))
+def test_window_matches_brute_force(r, bound):
+    if r in (ZERO, Slope(4, 1), Slope(-4, 1)):
+        return
+    x = r.as_fraction()
+    # a neighbor p/q above r has p/q − r = 1/(q·den(r)) ≤ 1
+    candidates = [
+        Slope(p, q)
+        for q in range(1, bound + 1)
+        for p in range(math.floor(q * x), math.ceil(q * (x + 1)) + 1)
+        if math.gcd(abs(p), q) == 1
+    ]
+    above = sorted((t for t in candidates if abs(det(r, t)) == 1 and t.as_fraction() > x), key=Slope.as_fraction)
+    expected = above + [INFINITY] if r.den == 1 else above
+    assert slopes_in_window(SlopeWindow(r, bound)) == expected
+
+
 @given(finite_slopes, st.integers(1, 9))
 def test_window_slopes_are_adjacent_and_clockwise_of_r(r, bound):
     if r in (ZERO, Slope(4, 1), Slope(-4, 1)):
         return
-    arc = SlopeArc(r, INFINITY, Direction.CLOCKWISE, Openness.HALF_OPEN_AT_TO)
+    arc = Arc(r, INFINITY, clockwise=True)
     got = slopes_in_window(SlopeWindow(r, bound))
     if bound >= max(1, r.den - 1):
         # the clockwise Farey parent of r fits under such a bound
@@ -306,7 +311,7 @@ def test_window_slopes_are_adjacent_and_clockwise_of_r(r, bound):
     for s in got:
         assert is_farey_adjacent(r, s)
         assert s.den <= bound
-        assert in_arc(s, arc)
+        assert oracle_in_arc(s, arc)
     finite = [s.as_fraction() for s in got if not s.is_infinity]
     assert finite == sorted(finite)
     assert (INFINITY in got) == (r.den == 1)
