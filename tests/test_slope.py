@@ -23,6 +23,7 @@ from f8tight.slope import (
     parse_slope,
     reduce,
 )
+from f8tight.torus_dynamics import SlopeWindow, slopes_in_window
 
 
 finite_slopes = st.fractions(
@@ -94,6 +95,20 @@ def test_adjacency_is_symmetric_and_irreflexive(a, b):
 def test_basis_completion_is_unimodular(s):
     u, v = basis_completion(s)
     assert s.num * v - s.den * u == 1
+
+
+def test_neighbors_window_example():
+    # The Farey neighbors of -5 above it with denominator ≤ 3 are exactly
+    # the slopes the window of -5 with bound 3 lists, ∞ last.
+    r = Slope(-5, 1)
+    finite = sorted(
+        (reduce(p, q) for q in range(1, 4) for p in range(-5 * q + 1, -4 * q + 1)),
+        key=Slope.as_fraction,
+    )
+    got = [t for t in dict.fromkeys(finite) if is_farey_adjacent(r, t)]
+    assert is_farey_adjacent(r, INFINITY)
+    assert got + [INFINITY] == [Slope(-14, 3), Slope(-9, 2), Slope(-4, 1), INFINITY]
+    assert slopes_in_window(SlopeWindow(r, 3)) == got + [INFINITY]
 
 
 def test_unimodular_matrix_validates_determinant():
