@@ -113,14 +113,13 @@ def neg_cfrac(x: Fraction | int, form: Form = Form.STANDARD) -> NegContinuedFrac
     with the number of regular continued fraction terms of x, not with the
     number of digits.
     """
-    x = Fraction(x)
+    p, q = x.numerator, x.denominator
     if form is Form.STANDARD:
-        if x >= 0:
+        if p >= 0:
             raise ValueError(f"standard expansion needs x < 0, got {x}")
     else:
-        if x > -1:
+        if p > -q:
             raise ValueError(f"solid-torus expansion needs x <= -1, got {x}")
-    p, q = x.numerator, x.denominator
     blocks: list[Block] = []
     while True:
         if -2 * q <= p < -q:
@@ -201,13 +200,13 @@ def phi(r: Fraction | int) -> int:
     Invariant under r ↦ r + 1: it is the standard product of the
     expansion of −1/t, t the representative of r mod 1 in (0, 1].  On
     integers t = 1, whose expansion [−1] has product 1, so nothing is
-    expanded there.
+    expanded there.  Elsewhere, for r = p/q, t = (p mod q)/q.  Any finite
+    rational with `numerator` and `denominator` will do, a Slope included.
     """
-    r = Fraction(r)
-    if r.denominator == 1:
+    p, q = r.numerator, r.denominator
+    if q == 1:
         return 1
-    t = r - math.ceil(r) + 1
-    return standard_product(neg_cfrac(-1 / t, Form.STANDARD))
+    return standard_product(neg_cfrac(Fraction(-q, p % q), Form.STANDARD))
 
 
 def psi(r: Fraction | int) -> int:
@@ -215,9 +214,10 @@ def psi(r: Fraction | int) -> int:
 
     The standard product of the expansion of r + 3 equals φ(−1/(r+3))
     (expansions of −1/s and −1/(s+1) share their product for s > 0), so
-    ψ reads it directly.  On integers n ≤ −4 this is |n| − 3.
+    ψ reads it directly.  On integers n ≤ −4 this is |n| − 3.  The
+    argument is read as in `phi`.
     """
-    r = Fraction(r)
-    if r >= -3:
+    p, q = r.numerator, r.denominator
+    if p >= -3 * q:
         return 0
-    return standard_product(neg_cfrac(r + 3, Form.STANDARD))
+    return standard_product(neg_cfrac(Fraction(p + 3 * q, q), Form.STANDARD))

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .cfrac import NegContinuedFraction, neg_cfrac, phi, psi, standard_product
 from .slope import ZERO, Slope
-from .surgery_enum import chain_budgets, phi_family_chain
+from .surgery_enum import chain_budgets
 
 TOROIDAL_COEFFICIENTS = (ZERO, Slope(4, 1), Slope(-4, 1))
 
@@ -102,10 +102,10 @@ class ClassificationResult:
 
     def __post_init__(self) -> None:
         r = self.coefficient
-        f = finite_coefficient(r)
+        finite_coefficient(r)
         if self.count.kind is CountKind.INFINITE and r not in TOROIDAL_COEFFICIENTS:
             raise ValueError("only 0 and ±4 have infinitely many tight structures")
-        if self.count.kind is CountKind.LOWER_BOUND and (in_classified_range(f) or r in TOROIDAL_COEFFICIENTS):
+        if self.count.kind is CountKind.LOWER_BOUND and (in_classified_range(r) or r in TOROIDAL_COEFFICIENTS):
             raise ValueError("lower bounds only occur off the classified range")
         if self.count.kind is CountKind.FINITE and self.count.value != len(self.structures):
             raise ValueError("finite count must equal the number of certificates")
@@ -113,16 +113,17 @@ class ClassificationResult:
             raise ValueError("certificates are only attached to finite counts")
 
 
-def in_classified_range(r: Fraction) -> bool:
-    """Membership in R = [1, 4) ∪ [5, ∞) ∪ (−∞, −4) ∪ [−3, 0)."""
-    return (1 <= r < 4) or r >= 5 or r < -4 or (-3 <= r < 0)
+def in_classified_range(r: Fraction | int | Slope) -> bool:
+    """Membership in R = [1, 4) ∪ [5, ∞) ∪ (−∞, −4) ∪ [−3, 0), for finite r."""
+    p, q = r.numerator, r.denominator
+    return q <= p < 4 * q or p >= 5 * q or p < -4 * q or -3 * q <= p < 0
 
 
-def finite_coefficient(r: Slope) -> Fraction:
-    """The value of r, or a domain error naming r if it is ∞."""
+def finite_coefficient(r: Slope) -> tuple[int, int]:
+    """The pair (p, q) of r = p/q, or a domain error naming r if it is ∞."""
     if r.is_infinity:
         raise ValueError(f"coefficient {r} is not finite: r-surgery needs a finite r")
-    return r.as_fraction()
+    return r.num, r.den
 
 
 def _least_term_from(x: int, y: int, n: int) -> tuple[int, int]:
@@ -223,18 +224,18 @@ def row_tallies(r: Slope) -> RowTallies:
     tight and always Stein; the overtwisted-background one is Stein only
     for r ≥ −9.
     """
-    f = finite_coefficient(r)
+    p, q = finite_coefficient(r)
     if r in TOROIDAL_COEFFICIENTS:
         return RowTallies(TightCount(CountKind.INFINITE))
-    phi_r, psi_r = phi(f), psi(f)
-    total = 2 * phi_r if f > 0 else phi_r + psi_r
-    if not in_classified_range(f):
+    phi_r, psi_r = phi(r), psi(r)
+    total = 2 * phi_r if p > 0 else phi_r + psi_r
+    if not in_classified_range(r):
         return RowTallies(TightCount(CountKind.LOWER_BOUND, total))
-    if f.denominator == 1:
-        ut, candidates = (1, 0) if f < 0 else (2, 0)
+    if q == 1:
+        ut, candidates = (1, 0) if p < 0 else (2, 0)
     else:
-        ut, candidates = (2, 0) if f < 0 else (0, 4)
-    return RowTallies(TightCount(CountKind.FINITE, total), ut, candidates, total if f >= -9 else psi_r)
+        ut, candidates = (2, 0) if p < 0 else (0, 4)
+    return RowTallies(TightCount(CountKind.FINITE, total), ut, candidates, total if p >= -9 * q else psi_r)
 
 
 def structure_families(r: Slope) -> list[tuple[Family, NegContinuedFraction | None, int]]:
@@ -246,17 +247,23 @@ def structure_families(r: Slope) -> list[tuple[Family, NegContinuedFraction | No
     the overtwisted-background one, 1/(1 − r) for positive r.  It is
     None where nothing is expanded: the integral overtwisted family and
     r = 1, where L is erased.
+
+    For non-integral r = p/q in the window (n, n + 1), n ≤ −1, the two
+    candidate knots arise as the stabilizations of the virtual knot, so
+    the overtwisted family is the stabilization lattice of the chain for
+    contact −1/(1 − s)-surgery on it, s = n + 1 − r.  As 1 − s = t =
+    (p mod q)/q, that is the expansion of −q/(p mod q), which Φ(r) reads
+    too: the first budget is at least 1 and the lattice has Φ(r) entries.
     """
-    f = finite_coefficient(r)
-    if not in_classified_range(f):
+    p, q = finite_coefficient(r)
+    if not in_classified_range(r):
         raise ValueError(f"coefficient {r} is outside the classified range")
-    if f > 0:
-        return [(Family.POSITIVE_R, None if f == 1 else neg_cfrac(1 / (1 - f)), 1)]
-    families = [(Family.PSI_STD, neg_cfrac(f + 3), 1)] if f < -3 else []
-    n = math.floor(f)
+    if p > 0:
+        return [(Family.POSITIVE_R, None if p == q else neg_cfrac(Fraction(-q, p - q)), 1)]
+    families = [(Family.PSI_STD, neg_cfrac(Fraction(p + 3 * q, q)), 1)] if p < -3 * q else []
     # The two integral candidate surgeries give isotopic structures, so
     # there the family is the single fixed point of the sign involution.
-    families.append((Family.PHI_OVERTWISTED, None if f.denominator == 1 else phi_family_chain(f, n), abs(n)))
+    families.append((Family.PHI_OVERTWISTED, None if q == 1 else neg_cfrac(Fraction(-q, p % q)), abs(p // q)))
     return families
 
 
@@ -294,8 +301,8 @@ def corner_tag(family: Family, r: Slope) -> UTTag:
     return UTTag.CANDIDATE_PAIR
 
 
-def stein_tag(family: Family, f: Fraction) -> SteinTag:
-    if family is Family.PSI_STD or f >= -9:
+def stein_tag(family: Family, r: Fraction | int | Slope) -> SteinTag:
+    if family is Family.PSI_STD or r.numerator >= -9 * r.denominator:
         return SteinTag.YES
     return SteinTag.UNKNOWN
 
@@ -333,7 +340,7 @@ class Structures(Sequence):
         r = self.coefficient
         for family, chain, scale in self.families:
             slots = [range(-scale * b, scale * b + 1, 2 * scale) for b in family_budgets(family, chain)]
-            stein, corner = stein_tag(family, r.as_fraction()), corner_tag(family, r)
+            stein, corner = stein_tag(family, r), corner_tag(family, r)
             if family is Family.POSITIVE_R:
                 for sign in (-1, 1):
                     yield family, scale, stein, [range(sign, sign + 1), *slots], corner
@@ -391,8 +398,8 @@ def classify(r: Slope) -> ClassificationResult:
     On the classified range the exact count is the number of certificates,
     so only their chains are expanded; elsewhere the count is `tight_count`.
     """
-    f = finite_coefficient(r)
-    if in_classified_range(f):
+    finite_coefficient(r)
+    if in_classified_range(r):
         structures = tuple(enumerate_structures(r))
         count = TightCount(CountKind.FINITE, len(structures))
     else:

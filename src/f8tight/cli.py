@@ -145,12 +145,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--denominator", type=int, default=1)
     p.set_defaults(func=_cmd_table)
 
-    # Arguments like -3/2 or -inf must parse as values, not option flags;
-    # argparse only special-cases plain negative integers by default.
-    slope_matcher = re.compile(r"^-(\d+(/\d+)?|inf)$")
-    parser._negative_number_matcher = slope_matcher
+    # Arguments like -3/2, -4.5, -.5, -1e3 or -inf must parse as values, not
+    # option flags; argparse only special-cases plain negative decimals by
+    # default.  No option name starts with a digit, a dot or "inf".
+    value_matcher = re.compile(r"^-(\d|\.|inf)")
+    parser._negative_number_matcher = value_matcher
     for child in sub.choices.values():
-        child._negative_number_matcher = slope_matcher
+        child._negative_number_matcher = value_matcher
     return parser
 
 
@@ -270,6 +271,10 @@ def run(argv: list[str], out=None) -> int:
 
 
 def main() -> None:
+    # A coefficient may have more digits than CPython converts between int
+    # and str by default (4,300); the command line reads and prints them all.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         status = run(sys.argv[1:])
         sys.stdout.flush()

@@ -40,10 +40,15 @@ class Slope:
     def is_infinity(self) -> bool:
         return self.den == 0
 
-    def as_fraction(self) -> Fraction:
-        if self.is_infinity:
-            raise ValueError("infinity has no finite value")
-        return Fraction(self.num, self.den)
+    # The names of `numbers.Rational`, so that `phi`, `psi` and the range
+    # tests read a finite slope as they read a Fraction, without building one.
+    @property
+    def numerator(self) -> int:
+        return self.num
+
+    @property
+    def denominator(self) -> int:
+        return self.den
 
     def __neg__(self) -> Slope:
         # -inf is identified with inf (one projective point).
@@ -127,43 +132,3 @@ def basis_completion(s: Slope) -> tuple[int, int]:
         old_s, old_t = -old_s, -old_t
     # p·old_s + q·old_t = 1; we want p·v − q·u = 1, so v = old_s, u = −old_t.
     return (-old_t, old_s)
-
-
-@dataclass(frozen=True)
-class UnimodularMatrix:
-    """Integer 2×2 matrix with determinant ±1, acting on slope vectors."""
-
-    a: int
-    b: int
-    c: int
-    d: int
-
-    def __post_init__(self) -> None:
-        if abs(self.det) != 1:
-            raise ValueError(f"matrix {self.entries} has determinant {self.det}")
-
-    @property
-    def det(self) -> int:
-        return self.a * self.d - self.b * self.c
-
-    @property
-    def entries(self) -> tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.d)
-
-    @classmethod
-    def translation(cls, k: int) -> UnimodularMatrix:
-        """[[1, k], [0, 1]]: adds k to finite slopes and fixes ∞."""
-        return cls(1, k, 0, 1)
-
-    def __matmul__(self, other: UnimodularMatrix) -> UnimodularMatrix:
-        return UnimodularMatrix(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-
-def apply_unimodular(m: UnimodularMatrix, s: Slope) -> Slope:
-    """Image of s under the projective action of m."""
-    return reduce(m.a * s.num + m.b * s.den, m.c * s.num + m.d * s.den)

@@ -31,13 +31,6 @@ from fractions import Fraction
 from .cfrac import Form, NegContinuedFraction, neg_cfrac, standard_product
 
 
-def _contact_expansion(r_contact: Fraction | int) -> NegContinuedFraction:
-    r = Fraction(r_contact)
-    if r >= 0:
-        raise ValueError(f"contact coefficient must be negative, got {r}")
-    return neg_cfrac(r, Form.STANDARD)
-
-
 def chain_budgets(cf: NegContinuedFraction) -> tuple[int, ...]:
     """The stabilization budgets of the chain for contact r-surgery, r < 0.
 
@@ -54,28 +47,9 @@ def choice_count(r_contact: Fraction | int) -> int:
     Π(|r0+1| + 1)·Π(|ri+2| + 1) is the standard digit product of the
     expansion, so it is read off the blocks without spelling out digits.
     """
-    return standard_product(_contact_expansion(r_contact))
-
-
-def phi_family_chain(r: Fraction, n: int) -> NegContinuedFraction:
-    """The expansion whose chain distinguishes the overtwisted-background structures.
-
-    For non-integral r in the window (n, n+1) with n ≤ −1, the two
-    candidate knots arise as the stabilizations of the virtual knot, so
-    the whole family is the stabilization lattice of the chain for
-    contact −1/(1−s)-surgery on it, where s = n + 1 − r.  The first
-    budget is then at least 1 and the lattice has Φ(r) entries, the
-    standard product of this expansion.
-    """
-    r = Fraction(r)
-    if r.denominator == 1:
-        raise ValueError(f"integral coefficient {r} has no fractional window")
-    if n > -1:
-        raise ValueError(f"window integer must be at most -1, got {n}")
-    if not n < r < n + 1:
-        raise ValueError(f"{r} is not in the window ({n}, {n + 1})")
-    s = n + 1 - r
-    return _contact_expansion(-1 / (1 - s))
+    if r_contact >= 0:
+        raise ValueError(f"contact coefficient must be negative, got {r_contact}")
+    return standard_product(neg_cfrac(r_contact, Form.STANDARD))
 
 
 def smooth_framing_check(r: Fraction | int) -> bool:

@@ -19,14 +19,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .cfrac import Form, neg_cfrac, solid_torus_product
-from .slope import (
-    INFINITY,
-    Slope,
-    UnimodularMatrix,
-    apply_unimodular,
-    basis_completion,
-    det,
-)
+from .slope import Slope, basis_completion, det
 from .torus_dynamics import AttachSide, BypassMove, bypass_step
 
 MINUS_ONE = Slope(-1, 1)
@@ -128,42 +121,35 @@ def format_sign_sequence(seq: SignSequence, chain: BasicSliceChain) -> str:
 
 @dataclass(frozen=True)
 class SolidTorusSpec:
-    """A solid torus given by meridian and dividing slope, plus the recorded
-    coordinate change taking the meridian to ∞ and the dividing slope into
-    [−1, 0)."""
+    """A solid torus given by its meridian and dividing slope."""
 
     meridian: Slope
     dividing: Slope
-    normalization: UnimodularMatrix
-    k: int
 
     def __post_init__(self) -> None:
         if self.meridian == self.dividing:
             raise ValueError("meridian and dividing slope must differ")
-        if apply_unimodular(self.normalization, self.meridian) != INFINITY:
-            raise ValueError("normalization must send the meridian to inf")
-        image = apply_unimodular(self.normalization, self.dividing)
-        if not Fraction(-1) <= image.as_fraction() < 0:
-            raise ValueError(f"normalized dividing slope {image} outside [-1, 0)")
 
     @property
     def normalized_dividing(self) -> Slope:
-        return apply_unimodular(self.normalization, self.dividing)
+        """The dividing slope in the coordinates where the meridian is ∞ and it lies in [−1, 0).
+
+        For the meridian p/q with p·v − q·u = 1 (`basis_completion`), the
+        determinant-one matrix [[v, −u], [−q, p]] sends the meridian to ∞
+        and the dividing slope to x/y below; a unique integer translation
+        then drops x/y into [−1, 0), where it is (x mod y − y)/y.
+        """
+        u, v = basis_completion(self.meridian)
+        d = self.dividing
+        x, y = v * d.num - u * d.den, det(self.meridian, d)
+        if y < 0:
+            x, y = -x, -y
+        return Slope(x % y - y, y)
 
 
 def solid_torus_spec(meridian: Slope, dividing: Slope) -> SolidTorusSpec:
-    """Build a SolidTorusSpec, computing the canonical normalization.
-
-    First a determinant-one matrix sends the meridian to ∞, then the unique
-    integer translation k drops the dividing image into [−1, 0).
-    """
-    if meridian == dividing:
-        raise ValueError("meridian and dividing slope must differ")
-    u, v = basis_completion(meridian)
-    base = UnimodularMatrix(v, -u, -meridian.den, meridian.num)
-    image = apply_unimodular(base, dividing).as_fraction()
-    k = -(math.floor(image) + 1)
-    return SolidTorusSpec(meridian, dividing, UnimodularMatrix.translation(k) @ base, k)
+    """The solid torus of the given meridian and dividing slope, which must differ."""
+    return SolidTorusSpec(meridian, dividing)
 
 
 def _staircase(s1: Slope, s0: Slope) -> tuple[SliceBlock, ...]:
@@ -175,7 +161,8 @@ def _staircase(s1: Slope, s0: Slope) -> tuple[SliceBlock, ...]:
     k = |det(s, s0)| / |det(w, s0)|, so the block has the integer part of
     that many edges.
     """
-    side = AttachSide.BACK if s0.as_fraction() < s1.as_fraction() else AttachSide.FRONT
+    # s0 < s1, compared across their positive denominators
+    side = AttachSide.BACK if s0.num * s1.den < s1.num * s0.den else AttachSide.FRONT
     runs = []
     at = s1
     while at != s0:
@@ -257,6 +244,6 @@ def solid_torus_count(spec: SolidTorusSpec) -> int:
     form and takes |(r0+1)···(r_{n-1}+1)·rn|.  Equals the number of
     canonical sign sequences of `induced_chain(spec)`.
     """
-    c = spec.normalized_dividing.as_fraction()
-    cf = neg_cfrac(1 / c, Form.SOLID_TORUS)
+    c = spec.normalized_dividing
+    cf = neg_cfrac(Fraction(-c.den, -c.num), Form.SOLID_TORUS)
     return solid_torus_product(cf)

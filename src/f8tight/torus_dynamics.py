@@ -15,10 +15,8 @@ genuine endpoint of the dynamics.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 
 from .classification import TOROIDAL_COEFFICIENTS, finite_coefficient
 from .slope import INFINITY, ZERO, Slope, basis_completion, det, is_farey_adjacent, reduce
@@ -94,18 +92,20 @@ def bypass_step(s: Slope, move: BypassMove) -> Slope:
         raise ValueError(f"degenerate bypass: arc slope equals torus slope {s}")
     if is_farey_adjacent(s, r):
         return r
+    front = move.attach_side is AttachSide.FRONT
     if s.is_infinity:
         # Neighbors of inf are the integers, and the clockwise arc from inf
-        # climbs from below r, so the front move lands just under r.
-        target = r.as_fraction()
-        n = math.floor(target) if move.attach_side is AttachSide.FRONT else math.ceil(target)
+        # climbs from below r, so the front move lands just under r: the
+        # floor of r (the ceiling for a back move).
+        n = r.num // r.den if front else -(-r.num // r.den)
         return reduce(n, 1)
     u, v = basis_completion(s)
     # Neighbors of s are (u, v) + k (p, q); k increasing sweeps clockwise.
-    # The sweep crosses r at the real parameter below (never an integer
-    # here, since an integer k would mean r itself is a neighbor).
-    crossing = Fraction(-(u * r.den - v * r.num), det(s, r))
-    k = math.floor(crossing) if move.attach_side is AttachSide.FRONT else math.ceil(crossing)
+    # The sweep crosses r at the real parameter a/b below (never an integer
+    # here, since an integer k would mean r itself is a neighbor); floor
+    # division takes its floor (ceiling) whatever the sign of b.
+    a, b = v * r.num - u * r.den, det(s, r)
+    k = a // b if front else -(-a // b)
     return reduce(u + k * s.num, v + k * s.den)
 
 

@@ -1,5 +1,9 @@
 """Circle order of slopes, read off the circle cut open at infinity.
 
+The library keeps a slope as its integer pair; `value` reads a finite one
+as a Fraction, and `act` moves a slope by an integer matrix, for the
+oracles here and in the tests.
+
 The oracle linearizes the circle of slopes by cutting it at infinity:
 finite slopes in ascending order, infinity last.  Clockwise traversal is
 ascending order in that cut, wrapping around.  The bypass and window tests
@@ -13,7 +17,20 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from f8tight.slope import INFINITY, Slope, det
+from f8tight.slope import INFINITY, Slope, det, reduce
+
+
+def value(s: Slope) -> Fraction:
+    """The finite slope s as a Fraction; ∞ has no finite value."""
+    if s.is_infinity:
+        raise ValueError("infinity has no finite value")
+    return Fraction(s.num, s.den)
+
+
+def act(m: tuple[int, int, int, int], s: Slope) -> Slope:
+    """Image of s under the projective action of the integer matrix m = (a, b, c, d)."""
+    a, b, c, d = m
+    return reduce(a * s.num + b * s.den, c * s.num + d * s.den)
 
 
 class Arc(NamedTuple):
@@ -29,7 +46,7 @@ def _key(s: Slope) -> tuple[int, Fraction]:
     # cut the circle at infinity: finite ascending, infinity on top
     if s.is_infinity:
         return (1, Fraction(0))
-    return (0, s.as_fraction())
+    return (0, value(s))
 
 
 def oracle_orientation(a: Slope, b: Slope, c: Slope) -> int:
@@ -53,7 +70,7 @@ def oracle_neighbors(s: Slope, arc: Arc, bound: int) -> list[Slope]:
     denominator ≤ bound, in order along the arc."""
     # a neighbor p/q of s has |p/q − s| = 1/(q·den(s)) ≤ 1, so for each
     # denominator q only the numerators within q of q·s are candidates
-    x = s.as_fraction()
+    x = value(s)
     grid = [INFINITY] + [
         Slope(p, q)
         for q in range(1, bound + 1)

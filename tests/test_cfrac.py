@@ -11,6 +11,7 @@ loops.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -30,7 +31,7 @@ from f8tight.cfrac import (
     standard_product,
 )
 from f8tight.classification import tight_count
-from f8tight.slope import INFINITY, Slope
+from f8tight.slope import INFINITY, Slope, from_rational
 from f8tight.surgery_enum import choice_count
 from f8tight.tight_counts import solid_torus_count, solid_torus_spec
 
@@ -204,6 +205,29 @@ def test_psi_matches_its_phi_transform(r):
 @given(st.integers(-40, -4))
 def test_psi_on_integers(n):
     assert psi(n) == abs(n) - 3
+
+
+def fraction_phi(r: Fraction) -> int:
+    """Φ as the library took it from Fractions: the expansion of −1/t, t = r − ⌈r⌉ + 1."""
+    if r.denominator == 1:
+        return 1
+    t = r - math.ceil(r) + 1
+    return standard_product(neg_cfrac(-1 / t))
+
+
+def fraction_psi(r: Fraction) -> int:
+    """Ψ as the library took it from Fractions: the expansion of r + 3 below −3."""
+    return standard_product(neg_cfrac(r + 3)) if r < -3 else 0
+
+
+@given(st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4))
+def test_phi_and_psi_match_the_fraction_forms(r):
+    # the integer pair of a Fraction, an int or a Slope gives one answer
+    expected = fraction_phi(r), fraction_psi(r)
+    assert (phi(r), psi(r)) == expected
+    assert (phi(from_rational(r)), psi(from_rational(r))) == expected
+    if r.denominator == 1:
+        assert (phi(int(r)), psi(int(r))) == expected
 
 
 def greedy_digits(x: Fraction) -> list[int]:

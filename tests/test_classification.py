@@ -13,6 +13,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from circle_order import value
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -262,7 +263,7 @@ def eager_structures(r: Slope) -> list[ContactStructureCert]:
     structures = []
     for family, chain, scale in structure_families(r):
         budgets = eager_budgets(family, chain)
-        stein = stein_tag(family, r.as_fraction())
+        stein = stein_tag(family, value(r))
         for rots in stabilization_tuples(budgets):
             evaluations = tuple(scale * rot for rot in rots)
             tag = universal_tightness_tag(family, rots, r, budgets)

@@ -18,7 +18,15 @@ from pathlib import Path
 import pytest
 
 from f8tight import cfrac, classification, surgery_enum
-from f8tight.classification import CountKind, classify, coefficients_between, result_as_json, tight_count
+from f8tight.classification import (
+    CountKind,
+    classify,
+    coefficients_between,
+    geometry_of,
+    result_as_json,
+    row_tallies,
+    tight_count,
+)
 from f8tight.slope import Slope
 from f8tight import cli
 from f8tight.cli import run
@@ -344,6 +352,21 @@ def test_table_builds_no_certificates(monkeypatch):
     assert sum(1 for row in rows if "  finite " in row) == 1255
 
 
+def test_table_rows_build_few_fractions(fractions_built):
+    # A row reads its coefficient as an integer pair; the only Fractions
+    # are the inputs of Φ's and Ψ's expansions.
+    coefficients = coefficients_between(Fraction(-30), Fraction(30), 8)
+    for r in coefficients:
+        _, built = fractions_built(lambda: (row_tallies(r), geometry_of(r), str(r)))
+        assert built <= 3, r
+    (code, text), built = fractions_built(run_cli, "table", "--from", "-30", "--to", "30", "--denominator", "8")
+    assert code == 0
+    rows = len(text.splitlines())
+    assert rows == len(coefficients)
+    # --from and --to are read as two Fractions
+    assert built - 2 <= 3 * rows
+
+
 def test_table_row_with_a_huge_count():
     # 10¹² structures: the row is read off Φ and Ψ, not counted off certificates.
     r = "-2000000000001/2"
@@ -379,6 +402,39 @@ def test_consecutive_runs_match_fresh_runs(capsys):
         fresh.append(call(argv))
     assert in_sequence == fresh
     assert [code for code, _, _ in fresh] == [2, 0, 0, 0, 0, 2, 3, 0]
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("psi", "-4.5"), "2\n"),
+        (("phi", "-.5"), "2\n"),
+        (("phi", "-1e3"), "1\n"),
+        (("cfrac", "-1.5"), "[-2,-2]:std\n"),
+        (("cfrac", "-1.5", "--form", "st"), "[-2,-2]:st\n"),
+        (("count", "-7/2"), "lower-bound 3\n"),
+        (
+            ("table", "--from", "-1.5", "--to", "-1", "--denominator", "2"),
+            "-3/2  Hyperbolic  finite 2  ut 2  cand 0  stein 2/2\n"
+            "-1  SmallSeifert  finite 1  ut 1  cand 0  stein 1/1\n",
+        ),
+    ],
+)
+def test_negative_decimals_are_values(argv, expected):
+    assert run_cli(*argv) == (0, expected)
+
+
+def test_main_reads_and_prints_numbers_past_the_digit_limit():
+    # CPython converts at most 4,300 digits between int and str by default.
+    # Φ(10^−9000) = 10^9000, and −10^5000 has Φ + Ψ = 1 + (10^5000 − 3).
+    proc = subprocess.run(
+        [sys.executable, "-m", "f8tight", "phi", "1e-9000"], capture_output=True, text=True, env=src_env()
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1" + "0" * 9000 + "\n", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "f8tight", "count", "-1" + "0" * 5000], capture_output=True, text=True, env=src_env()
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "finite " + "9" * 4999 + "8\n", "")
 
 
 def test_usage_errors(capsys):

@@ -1,12 +1,16 @@
 """Slope arithmetic, Farey adjacency and the unimodular action.
 
 Each check is against plain fraction arithmetic or a property of the
-determinant, never against the formulas under test.
+determinant, never against the formulas under test.  The matrix action is
+the tests' own (`circle_order.act`).
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
+from circle_order import act, value
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -14,8 +18,6 @@ from f8tight.slope import (
     INFINITY,
     ZERO,
     Slope,
-    UnimodularMatrix,
-    apply_unimodular,
     basis_completion,
     det,
     from_rational,
@@ -69,7 +71,8 @@ def test_parse_slope_rejects_garbage():
 
 @given(finite_slopes)
 def test_fraction_round_trip(s):
-    assert from_rational(s.as_fraction()) == s
+    assert from_rational(Fraction(s.numerator, s.denominator)) == s
+    assert (s.numerator, s.denominator) == (s.num, s.den)
 
 
 @given(all_slopes, all_slopes)
@@ -103,7 +106,7 @@ def test_neighbors_window_example():
     r = Slope(-5, 1)
     finite = sorted(
         (reduce(p, q) for q in range(1, 4) for p in range(-5 * q + 1, -4 * q + 1)),
-        key=Slope.as_fraction,
+        key=value,
     )
     got = [t for t in dict.fromkeys(finite) if is_farey_adjacent(r, t)]
     assert is_farey_adjacent(r, INFINITY)
@@ -111,25 +114,7 @@ def test_neighbors_window_example():
     assert slopes_in_window(SlopeWindow(r, 3)) == got + [INFINITY]
 
 
-def test_unimodular_matrix_validates_determinant():
-    with pytest.raises(ValueError):
-        UnimodularMatrix(2, 0, 0, 1)
-    assert UnimodularMatrix(1, 0, 0, 1).det == 1
-    assert UnimodularMatrix.translation(3).det == 1
-
-
-@given(all_slopes, st.integers(-6, 6))
-def test_translation_acts_on_slopes(s, k):
-    image = apply_unimodular(UnimodularMatrix.translation(k), s)
-    if s.is_infinity:
-        assert image == INFINITY
-    else:
-        assert image.as_fraction() == s.as_fraction() + k
-
-
 @given(all_slopes, all_slopes)
 def test_unimodular_action_preserves_adjacency(a, b):
-    m = UnimodularMatrix(2, 1, 1, 1)
-    assert is_farey_adjacent(a, b) == is_farey_adjacent(
-        apply_unimodular(m, a), apply_unimodular(m, b)
-    )
+    m = (2, 1, 1, 1)
+    assert is_farey_adjacent(a, b) == is_farey_adjacent(act(m, a), act(m, b))

@@ -17,9 +17,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from f8tight.cfrac import neg_cfrac, phi, psi, standard_product
-from f8tight.classification import Family, enumerate_structures, in_classified_range
+from f8tight.classification import Family, enumerate_structures, structure_families
 from f8tight.slope import Slope, from_rational
-from f8tight.surgery_enum import chain_budgets, choice_count, phi_family_chain, smooth_framing_check
+from f8tight.surgery_enum import chain_budgets, choice_count, smooth_framing_check
 
 negative_coefficients = st.fractions(min_value=-30, max_value=Fraction(-1, 30), max_denominator=30)
 # For −1/3 ≤ r < −1/4 the chain would belong to M(1 − 1/r), in the gap [4, 5).
@@ -122,26 +122,20 @@ def test_choice_count_recovers_psi_below_minus_three(r):
     assert choice_count(r + 3) == psi(r)
 
 
-@given(st.integers(-8, -1), st.fractions(min_value=0, max_value=1, max_denominator=12))
+# The windows (n, n + 1) of the classified range below 0; (−4, −3) is a gap.
+@given(st.sampled_from([-8, -7, -6, -5, -3, -2, -1]), st.fractions(min_value=0, max_value=1, max_denominator=12))
 def test_phi_family_size(n, t):
     if t in (0, 1):
         return
     r = n + t
-    chain = phi_family_chain(r, n)
+    chain = {family: chain for family, chain, _ in structure_families(from_rational(r))}[Family.PHI_OVERTWISTED]
+    # the chain for contact −1/(1 − s)-surgery on the virtual knot, s = n + 1 − r
+    s = n + 1 - r
+    assert chain == neg_cfrac(-1 / (1 - s))
     assert math.prod(b + 1 for b in chain_budgets(chain)) == phi(r) == standard_product(chain)
-    if in_classified_range(r):
-        tuples = rotation_tuples(r, Family.PHI_OVERTWISTED)
-        assert len(tuples) == phi(r)
-        assert len(set(tuples)) == len(tuples)
-
-
-def test_phi_family_rejects_bad_windows():
-    with pytest.raises(ValueError):
-        phi_family_chain(Fraction(-2), -2)
-    with pytest.raises(ValueError):
-        phi_family_chain(Fraction(1, 2), 0)
-    with pytest.raises(ValueError):
-        phi_family_chain(Fraction(-5, 2), -4)
+    tuples = rotation_tuples(r, Family.PHI_OVERTWISTED)
+    assert len(tuples) == phi(r)
+    assert len(set(tuples)) == len(tuples)
 
 
 def test_chern_certificate_scaling():

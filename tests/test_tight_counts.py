@@ -1,20 +1,23 @@
 """Basic-slice chains, solid-torus normalization, and the block-product count.
 
-Three oracles drive this module: a breadth-first search in a denominator-
+Four oracles drive this module: a breadth-first search in a denominator-
 bounded patch of the Farey graph certifies that descent paths are true
 geodesics, exhaustive sign-sequence enumeration certifies the closed-
-form digit product, and the walk that takes one bypass move per edge and
+form digit product, the walk that takes one bypass move per edge and
 splits blocks by the pivot rule certifies the chains built one block at
-a time.
+a time, and a matrix product with a Fraction floor certifies the
+normalization read off integers.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from collections import deque
 from fractions import Fraction
 
 import pytest
+from circle_order import act, value
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,8 +25,6 @@ from f8tight.cfrac import Form, cfrac_matrix, neg_cfrac, phi, psi
 from f8tight.slope import (
     INFINITY,
     Slope,
-    UnimodularMatrix,
-    apply_unimodular,
     det,
     from_rational,
     is_farey_adjacent,
@@ -56,8 +57,8 @@ def interval_bfs_distance(a: Slope, b: Slope) -> int:
     slopes bound, so this restricted distance is the relevant oracle (the
     unconstrained graph can be strictly shorter, e.g. −1/5, 0, −1).
     """
-    lo = min(a.as_fraction(), b.as_fraction())
-    hi = max(a.as_fraction(), b.as_fraction())
+    lo = min(value(a), value(b))
+    hi = max(value(a), value(b))
     depth = a.den + b.den + 2
     verts = set()
     for q in range(1, depth + 1):
@@ -81,7 +82,7 @@ def stepwise_staircase(s0: Slope, s1: Slope) -> tuple[tuple[Slope, ...], tuple[i
     """The descent from s1 to s0 one bypass move per edge, cut into blocks by
     the pivot rule: two edges share a block when the outer slopes of their
     triple have determinant ±2.  Returns the slopes and the block sizes."""
-    side = AttachSide.BACK if s0.as_fraction() < s1.as_fraction() else AttachSide.FRONT
+    side = AttachSide.BACK if value(s0) < value(s1) else AttachSide.FRONT
     path = [s1]
     while path[-1] != s0:
         path.append(bypass_step(path[-1], BypassMove(side, s0)))
@@ -92,6 +93,27 @@ def stepwise_staircase(s0: Slope, s1: Slope) -> tuple[tuple[Slope, ...], tuple[i
         else:
             sizes.append(1)
     return tuple(path), tuple(sizes)
+
+
+def times(m: tuple[int, int, int, int], n: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    """The product m·n of two integer 2×2 matrices, each written (a, b, c, d)."""
+    a, b, c, d = m
+    w, x, y, z = n
+    return (a * w + b * y, a * x + b * z, c * w + d * y, c * x + d * z)
+
+
+def matrix_normalization(meridian: Slope, dividing: Slope) -> Slope:
+    """The normalized dividing slope by the matrix route: a determinant-one
+    matrix takes the meridian p/q to ∞, and the translation by the Fraction
+    floor of the dividing image, plus one, drops it into [−1, 0)."""
+    p, q = meridian.num, meridian.den
+    v = pow(p, -1, q) if q else 1  # p·v ≡ 1 (mod q), found without basis_completion
+    u = (p * v - 1) // q if q else 0
+    base = (v, -u, -q, p)
+    assert base[0] * base[3] - base[1] * base[2] == 1
+    assert act(base, meridian) == INFINITY
+    k = -(math.floor(value(act(base, dividing))) + 1)
+    return act(times((1, k, 0, 1), base), dividing)
 
 
 @st.composite
@@ -187,9 +209,9 @@ def test_descent_path_is_an_interval_geodesic(pair):
     chain = descent_path(a, b)
     assert chain.slope_path[0] == b
     assert chain.slope_path[-1] == a
-    lo = min(a.as_fraction(), b.as_fraction())
-    hi = max(a.as_fraction(), b.as_fraction())
-    assert all(lo <= s.as_fraction() <= hi for s in chain.slope_path)
+    lo = min(value(a), value(b))
+    hi = max(value(a), value(b))
+    assert all(lo <= value(s) <= hi for s in chain.slope_path)
     assert len(chain.slope_path) == interval_bfs_distance(a, b) + 1
 
 
@@ -324,42 +346,63 @@ def test_solid_torus_count_frozen(dividing, expected):
 
 
 def test_normalization_records_canonical_data():
-    spec = solid_torus_spec(INFINITY, Slope(-5, 3))
-    assert spec.k == 1
-    assert spec.normalized_dividing == Slope(-2, 3)
-    assert spec.normalization.det == 1
-
-    twisted = solid_torus_spec(Slope(-2, 1), Slope(1, 1))
-    assert apply_unimodular(twisted.normalization, Slope(-2, 1)) == INFINITY
-    assert Fraction(-1) <= twisted.normalized_dividing.as_fraction() < 0
+    # the translation by 1 takes −5/3 to −2/3
+    assert solid_torus_spec(INFINITY, Slope(-5, 3)).normalized_dividing == Slope(-2, 3)
+    # [[−1, −1], [−1, −2]] takes −2 to ∞ and 1 to 2/3, which drops to −1/3
+    assert solid_torus_spec(Slope(-2, 1), Slope(1, 1)).normalized_dividing == Slope(-1, 3)
+    assert solid_torus_spec(INFINITY, Slope(-1, 1)).normalized_dividing == MINUS_ONE
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="meridian and dividing slope must differ"):
         solid_torus_spec(Slope(1, 2), Slope(1, 2))
-    with pytest.raises(ValueError):
-        SolidTorusSpec(Slope(1, 2), Slope(1, 3), UnimodularMatrix(1, 0, 0, 1), 0)
+    with pytest.raises(ValueError, match="meridian and dividing slope must differ"):
+        SolidTorusSpec(INFINITY, INFINITY)
 
 
+@settings(max_examples=300)
 @given(slopes, slopes)
 def test_normalized_dividing_lands_in_window(meridian, dividing):
     if meridian == dividing:
         return
-    spec = solid_torus_spec(meridian, dividing)
-    assert apply_unimodular(spec.normalization, meridian) == INFINITY
-    assert Fraction(-1) <= spec.normalized_dividing.as_fraction() < 0
-    assert spec.normalization.det == 1
+    c = solid_torus_spec(meridian, dividing).normalized_dividing
+    assert c == matrix_normalization(meridian, dividing)
+    assert -1 <= value(c) < 0
 
 
-@given(slopes, slopes, st.integers(-3, 3), st.integers(-3, 3))
-def test_count_is_invariant_under_orientation_preserving_changes(meridian, dividing, x, k):
+@settings(max_examples=300)
+@given(
+    st.one_of(st.just(INFINITY), wide_slopes), st.one_of(st.just(INFINITY), wide_slopes),
+    st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3),
+)
+def test_count_is_invariant_under_orientation_preserving_changes(meridian, dividing, x, k, j):
+    # every g in SL(2, Z) is a product of the two elementary shears; the
+    # normalized torus only depends on the torus, not on the coordinates
     if meridian == dividing:
         return
-    g = UnimodularMatrix.translation(k) @ UnimodularMatrix(1, 0, x, 1)
-    moved = solid_torus_spec(
-        apply_unimodular(g, meridian), apply_unimodular(g, dividing)
-    )
-    assert solid_torus_count(moved) == solid_torus_count(solid_torus_spec(meridian, dividing))
+    g = times(times((1, k, 0, 1), (1, 0, x, 1)), (1, j, 0, 1))
+    spec = solid_torus_spec(meridian, dividing)
+    moved_meridian, moved_dividing = act(g, meridian), act(g, dividing)
+    moved = solid_torus_spec(moved_meridian, moved_dividing)
+    assert moved.normalized_dividing == spec.normalized_dividing
+    assert moved.normalized_dividing == matrix_normalization(moved_meridian, moved_dividing)
+    assert solid_torus_count(moved) == solid_torus_count(spec)
+
+
+def test_torus_layers_build_no_fractions(fractions_built):
+    rng = random.Random(14)
+    pairs = [(INFINITY, Slope(-5, 12)), (Slope(-9, 2), INFINITY), (Slope(3, 1), Slope(-5, 7))]
+    for _ in range(200):
+        meridian = reduce(rng.randint(-60, 60), rng.randint(1, 40))
+        pairs.append((meridian, reduce(rng.randint(-60, 60) or 1, rng.randint(0, 40))))
+    for meridian, dividing in pairs:
+        if meridian == dividing:
+            continue
+        spec, built = fractions_built(solid_torus_spec, meridian, dividing)
+        assert built == 0
+        chain, built = fractions_built(induced_chain, spec)
+        assert built == 0
+        assert chain.start == spec.normalized_dividing
 
 
 def test_count_can_change_under_reflection():

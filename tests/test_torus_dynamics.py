@@ -7,19 +7,24 @@ step must agree.  Oracle for a slope window: every neighbor above r with
 a small enough denominator, found by brute force.  Oracle for a
 thickening path: the walk that makes one bypass move per step and checks
 every slope it reaches; the run-at-a-time walk must agree, errors included.
+The integer step is also checked against its Fraction form: the floor or
+ceiling of the real sweep index where the neighbours of s cross the arc
+slope.
 """
 
 from __future__ import annotations
 
 import math
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circle_order import Arc, oracle_in_arc, oracle_neighbors
+from circle_order import Arc, oracle_in_arc, oracle_neighbors, value
 from f8tight.classification import in_classified_range
-from f8tight.slope import INFINITY, ZERO, Slope, det, from_rational, is_farey_adjacent, reduce
+from f8tight.slope import INFINITY, ZERO, Slope, basis_completion, det, from_rational, is_farey_adjacent, reduce
 from f8tight.torus_dynamics import (
     MINUS_THREE,
     AttachSide,
@@ -37,17 +42,31 @@ def oracle_bypass(s: Slope, move: BypassMove) -> Slope:
     r = move.arc_slope
     arc = Arc(s, r, clockwise=move.attach_side is AttachSide.FRONT)
     if s.is_infinity:
-        f = r.as_fraction()
+        f = value(r)
         cands = [
             reduce(n, 1)
             for n in range(math.floor(f) - 2, math.ceil(f) + 3)
             if oracle_in_arc(reduce(n, 1), arc)
         ]
-        key = lambda c: c.as_fraction()
-        picked = max(cands, key=key) if move.attach_side is AttachSide.FRONT else min(cands, key=key)
+        picked = max(cands, key=value) if move.attach_side is AttachSide.FRONT else min(cands, key=value)
         return picked
     # the step result never has denominator above den(s) + den(r)
     return oracle_neighbors(s, arc, s.den + r.den + 2)[-1]
+
+
+def fraction_bypass(s: Slope, move: BypassMove) -> Slope:
+    """The step by Fraction floors and ceilings, as the library took it before
+    it divided integers: from ∞ the integer part of r, and otherwise the
+    rounded sweep index k where (u, v) + k·(p, q) crosses r."""
+    r = move.arc_slope
+    rounded = math.floor if move.attach_side is AttachSide.FRONT else math.ceil
+    if is_farey_adjacent(s, r):
+        return r
+    if s.is_infinity:
+        return reduce(rounded(value(r)), 1)
+    u, v = basis_completion(s)
+    k = rounded(Fraction(-(u * r.den - v * r.num), det(s, r)))
+    return reduce(u + k * s.num, v + k * s.den)
 
 
 def stepwise_thicken(s: Slope) -> ThickeningPath:
@@ -84,6 +103,10 @@ def outcome(func, *args):
 
 finite_slopes = st.fractions(min_value=-30, max_value=30, max_denominator=9).map(from_rational)
 all_slopes = st.one_of(st.just(INFINITY), finite_slopes)
+wide_slopes = st.one_of(
+    st.just(INFINITY),
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4).map(from_rational),
+)
 sides = st.sampled_from(list(AttachSide))
 thickening_starts = st.one_of(
     st.just(INFINITY),
@@ -119,6 +142,37 @@ def test_bypass_step_matches_arc_oracle(s, r, side):
         return
     move = BypassMove(side, r)
     assert bypass_step(s, move) == oracle_bypass(s, move)
+
+
+@settings(max_examples=400)
+@given(wide_slopes, wide_slopes, sides)
+def test_bypass_step_matches_the_fraction_floor(s, r, side):
+    if s == r:
+        return
+    move = BypassMove(side, r)
+    assert bypass_step(s, move) == fraction_bypass(s, move)
+
+
+@given(wide_slopes, sides)
+def test_bypass_step_from_infinity_matches_the_fraction_floor(r, side):
+    if r.is_infinity:
+        return
+    move = BypassMove(side, r)
+    assert bypass_step(INFINITY, move) == fraction_bypass(INFINITY, move)
+
+
+def test_bypass_and_thickening_build_no_fractions(fractions_built):
+    rng = random.Random(14)
+    for _ in range(300):
+        s = reduce(rng.randint(-400, 400) or 1, rng.randint(0, 300))
+        r = reduce(rng.randint(-400, 400) or 1, rng.randint(0, 300))
+        side = rng.choice(list(AttachSide))
+        if s != r:
+            _, built = fractions_built(bypass_step, s, BypassMove(side, r))
+            assert built == 0
+        if s != ZERO:
+            _, built = fractions_built(outcome, thicken_path, s)
+            assert built == 0
 
 
 @given(all_slopes, all_slopes, sides)
@@ -286,7 +340,7 @@ def test_window_rejects_toroidal_coefficients():
 def test_window_matches_brute_force(r, bound):
     if r in (ZERO, Slope(4, 1), Slope(-4, 1)):
         return
-    x = r.as_fraction()
+    x = value(r)
     # a neighbor p/q above r has p/q − r = 1/(q·den(r)) ≤ 1
     candidates = [
         Slope(p, q)
@@ -294,7 +348,7 @@ def test_window_matches_brute_force(r, bound):
         for p in range(math.floor(q * x), math.ceil(q * (x + 1)) + 1)
         if math.gcd(abs(p), q) == 1
     ]
-    above = sorted((t for t in candidates if abs(det(r, t)) == 1 and t.as_fraction() > x), key=Slope.as_fraction)
+    above = sorted((t for t in candidates if abs(det(r, t)) == 1 and value(t) > x), key=value)
     expected = above + [INFINITY] if r.den == 1 else above
     assert slopes_in_window(SlopeWindow(r, bound)) == expected
 
@@ -312,19 +366,19 @@ def test_window_slopes_are_adjacent_and_clockwise_of_r(r, bound):
         assert is_farey_adjacent(r, s)
         assert s.den <= bound
         assert oracle_in_arc(s, arc)
-    finite = [s.as_fraction() for s in got if not s.is_infinity]
+    finite = [value(s) for s in got if not s.is_infinity]
     assert finite == sorted(finite)
     assert (INFINITY in got) == (r.den == 1)
 
 
 @given(finite_slopes, st.integers(1, 9))
 def test_windows_of_classified_coefficients_avoid_the_gaps(r, bound):
-    if r in (ZERO, Slope(4, 1), Slope(-4, 1)) or not in_classified_range(r.as_fraction()):
+    if r in (ZERO, Slope(4, 1), Slope(-4, 1)) or not in_classified_range(value(r)):
         return
     for s in slopes_in_window(SlopeWindow(r, bound)):
         if s.is_infinity:
             continue
-        f = s.as_fraction()
+        f = value(s)
         assert not (-4 < f <= -3)
         assert not (0 < f <= 1)
         assert not (4 < f <= 5)
