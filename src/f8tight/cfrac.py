@@ -83,10 +83,10 @@ class NegContinuedFraction:
         cf._set(_merged(blocks), form)
         return cf
 
-    def _set(self, blocks: tuple[Block, ...], form: Form) -> None:
+    def _set(self, blocks: tuple[Block, ...], form: Form, check: bool = True) -> None:
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "form", form)
-        if not _blocks_valid(blocks, form):
+        if check and not _blocks_valid(blocks, form):
             raise ValueError(f"digits {list(self.digits)} violate form {form.value}")
 
     @property
@@ -130,12 +130,17 @@ def neg_cfrac(x: Fraction | int, form: Form = Form.STANDARD) -> NegContinuedFrac
                 break
             p, q = -(b + rest), rest
         else:
-            d, rest = divmod(p, q)
-            blocks.append((d, 1))  # rest ∈ (0, q) keeps later digits ≤ −2
+            d, rest = divmod(p, q)  # rest ∈ (0, q) keeps later digits ≤ −2
+            # a digit ≤ −3 that repeats joins its block
+            run = blocks.pop()[1] + 1 if blocks and blocks[-1][0] == d else 1
+            blocks.append((d, run))
             if rest == 0:
                 break
             p, q = -q, rest
-    return NegContinuedFraction.from_blocks(blocks, form)
+    # maximal and valid as built, so not merged or checked again
+    cf = NegContinuedFraction.__new__(NegContinuedFraction)
+    cf._set(tuple(blocks), form, check=False)
+    return cf
 
 
 def _run_matrix(d: int, run: int) -> tuple[int, int, int, int]:

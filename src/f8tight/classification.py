@@ -22,10 +22,8 @@ from enum import Enum
 from fractions import Fraction
 
 from .cfrac import NegContinuedFraction, neg_cfrac, phi, psi, standard_product
-from .slope import ZERO, Slope
+from .slope import Slope
 from .surgery_enum import chain_budgets
-
-TOROIDAL_COEFFICIENTS = (ZERO, Slope(4, 1), Slope(-4, 1))
 
 
 class Family(Enum):
@@ -103,9 +101,9 @@ class ClassificationResult:
     def __post_init__(self) -> None:
         r = self.coefficient
         finite_coefficient(r)
-        if self.count.kind is CountKind.INFINITE and r not in TOROIDAL_COEFFICIENTS:
+        if self.count.kind is CountKind.INFINITE and not is_toroidal(r):
             raise ValueError("only 0 and ±4 have infinitely many tight structures")
-        if self.count.kind is CountKind.LOWER_BOUND and (in_classified_range(r) or r in TOROIDAL_COEFFICIENTS):
+        if self.count.kind is CountKind.LOWER_BOUND and (in_classified_range(r) or is_toroidal(r)):
             raise ValueError("lower bounds only occur off the classified range")
         if self.count.kind is CountKind.FINITE and self.count.value != len(self.structures):
             raise ValueError("finite count must equal the number of certificates")
@@ -117,6 +115,11 @@ def in_classified_range(r: Fraction | int | Slope) -> bool:
     """Membership in R = [1, 4) ∪ [5, ∞) ∪ (−∞, −4) ∪ [−3, 0), for finite r."""
     p, q = r.numerator, r.denominator
     return q <= p < 4 * q or p >= 5 * q or p < -4 * q or -3 * q <= p < 0
+
+
+def is_toroidal(r: Slope) -> bool:
+    """Whether M(r) is toroidal: r is 0 or ±4."""
+    return r.den == 1 and r.num in (0, 4, -4)
 
 
 def finite_coefficient(r: Slope) -> tuple[int, int]:
@@ -176,7 +179,7 @@ def coefficients_between(start: Fraction, stop: Fraction, max_denominator: int) 
 def geometry_of(r: Slope) -> Geometry:
     """Geometric type of M(r): toroidal, small Seifert fibered, or hyperbolic."""
     finite_coefficient(r)  # refuses ∞ with the domain error
-    if r in TOROIDAL_COEFFICIENTS:
+    if is_toroidal(r):
         return Geometry.TOROIDAL
     if r.den == 1 and abs(r.num) <= 3:
         return Geometry.SMALL_SEIFERT
@@ -225,7 +228,7 @@ def row_tallies(r: Slope) -> RowTallies:
     for r ≥ −9.
     """
     p, q = finite_coefficient(r)
-    if r in TOROIDAL_COEFFICIENTS:
+    if is_toroidal(r):
         return RowTallies(TightCount(CountKind.INFINITE))
     phi_r, psi_r = phi(r), psi(r)
     total = 2 * phi_r if p > 0 else phi_r + psi_r

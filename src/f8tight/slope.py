@@ -6,7 +6,9 @@ corresponding integer vectors form a basis of Z², i.e. when the 2×2
 determinant of the pair is ±1.  The neighbors of a slope are one integer
 sweep (`basis_completion`), so a run of them along the circle is a range
 of the sweep index, and no two slopes need comparing; no floating point is
-used anywhere.
+used anywhere.  Every Farey walk (a solid torus's chain, a thickening, a
+slope window) is stored as runs of equal steps, `SliceBlock`s, and checked
+by `walk_end` in O(runs).
 
 Convention: the circle is oriented so that 0, 1, ∞ appear in clockwise
 order and 0, −1, 1 in counterclockwise order.  Equivalently, moving
@@ -19,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,3 +135,39 @@ def basis_completion(s: Slope) -> tuple[int, int]:
         old_s, old_t = -old_s, -old_t
     # p·old_s + q·old_t = 1; we want p·v − q·u = 1, so v = old_s, u = −old_t.
     return (-old_t, old_s)
+
+
+class SliceBlock(NamedTuple):
+    """`size` Farey moves through the slopes start + k·step, k = 0, …, size.
+
+    If det(start, step) = ±1, so is det(start + k·step, step) for every k:
+    each vector is reduced and each move is a Farey edge.
+    """
+
+    start: Slope
+    step: tuple[int, int]
+    size: int
+
+    def slopes(self, first: int = 1) -> list[Slope]:
+        """start + k·step for k = first, …, size; a Slope refuses q < 0 and (−1, 0)."""
+        (p, q), (dp, dq) = (self.start.num, self.start.den), self.step
+        return [Slope(p + k * dp, q + k * dq) for k in range(first, self.size + 1)]
+
+    @property
+    def end(self) -> Slope:
+        return self.slopes(self.size)[0]
+
+
+def walk_end(start: Slope, runs: tuple[SliceBlock, ...]) -> Slope:
+    """Where the runs lead from start, each checked to meet the last, move and step along a Farey edge."""
+    at = start
+    for run in runs:
+        (dp, dq), size = run.step, run.size
+        if size < 1:
+            raise ValueError("run sizes must be positive")
+        if run.start != at:
+            raise ValueError(f"run starts at {run.start}, but the walk stands at {at}")
+        if abs(at.num * dq - at.den * dp) != 1:
+            raise ValueError(f"step {run.step} from {at} is not a Farey edge")
+        at = run.end
+    return at

@@ -3,11 +3,12 @@
 The combinatorial engine: a basic slice (a T²×I layer whose two boundary
 slopes are Farey-adjacent) carries exactly two tight structures, a sign.
 A solid torus factors into a chain of basic slices along the monotone
-Farey staircase from its (normalized) boundary slope down to −1, and its tight
-structures correspond to sign sequences along the chain modulo shuffling
-signs within each continued-fraction block.  The resulting count is the
-block product |(r0+1)···(r_{n-1}+1)·rn| of the solid-torus-form expansion,
-and everything here is cross-checkable against that closed form.
+Farey staircase from its (normalized) boundary slope down to −1, one
+`farey_run` per continued-fraction block, and its tight structures
+correspond to sign sequences along the chain modulo shuffling signs within
+each block.  The resulting count is the block product
+|(r0+1)···(r_{n-1}+1)·rn| of the solid-torus-form expansion, and
+everything here is cross-checkable against that closed form.
 """
 
 from __future__ import annotations
@@ -16,11 +17,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 from .cfrac import Form, neg_cfrac, solid_torus_product
-from .slope import Slope, basis_completion, det
-from .torus_dynamics import AttachSide, BypassMove, bypass_step
+from .slope import SliceBlock, Slope, basis_completion, det, walk_end
+from .torus_dynamics import AttachSide, farey_run
 
 MINUS_ONE = Slope(-1, 1)
 
@@ -33,23 +33,6 @@ SIGN_LIMIT = 10_000_000
 
 NEGATIVE = "-"
 POSITIVE = "+"
-
-
-class SliceBlock(NamedTuple):
-    """`size` basic slices whose slopes are start + k·step, k = 0, …, size.
-
-    Consecutive slopes of one continued-fraction block differ by the same
-    integer vector, so a block is that arithmetic progression of vectors.
-    """
-
-    start: Slope
-    step: tuple[int, int]
-    size: int
-
-    @property
-    def end(self) -> Slope:
-        (dp, dq), k = self.step, self.size
-        return Slope(self.start.num + k * dp, self.start.den + k * dq)
 
 
 @dataclass(frozen=True)
@@ -67,18 +50,7 @@ class BasicSliceChain:
     runs: tuple[SliceBlock, ...] = ()
 
     def __post_init__(self) -> None:
-        at = self.start
-        for run in self.runs:
-            if run.size < 1:
-                raise ValueError("block sizes must be positive")
-            if run.start != at:
-                raise ValueError(f"block starts at {run.start}, but the chain stands at {at}")
-            dp, dq = run.step
-            if abs(at.num * dq - at.den * dp) != 1:
-                raise ValueError(f"step {run.step} from {at} is not a Farey edge")
-            # `end` is a Slope, so it refuses a negative denominator or a
-            # non-canonical ∞; the denominators in between are then positive.
-            at = run.end
+        walk_end(self.start, self.runs)
 
     @property
     def blocks(self) -> tuple[int, ...]:
@@ -90,12 +62,7 @@ class BasicSliceChain:
 
     @property
     def slope_path(self) -> tuple[Slope, ...]:
-        path = [self.start]
-        for run in self.runs:
-            p, q = run.start.num, run.start.den
-            dp, dq = run.step
-            path += [Slope(p + k * dp, q + k * dq) for k in range(1, run.size + 1)]
-        return tuple(path)
+        return (self.start, *(s for run in self.runs for s in run.slopes()))
 
 
 @dataclass(frozen=True)
@@ -153,24 +120,13 @@ def solid_torus_spec(meridian: Slope, dividing: Slope) -> SolidTorusSpec:
 
 
 def _staircase(s1: Slope, s0: Slope) -> tuple[SliceBlock, ...]:
-    """Blocks of the maximal-jump Farey path from s1 to s0, one move per block.
-
-    From a slope s, a bypass move toward s0 gives the block's first edge
-    and its step w.  The greedy move keeps repeating w for as long as the
-    path stays short of s0, and the vectors s + k·w reach s0 at the real
-    k = |det(s, s0)| / |det(w, s0)|, so the block has the integer part of
-    that many edges.
-    """
+    """Blocks of the maximal-jump Farey path from s1 to s0, one `farey_run` per block."""
     # s0 < s1, compared across their positive denominators
     side = AttachSide.BACK if s0.num * s1.den < s1.num * s0.den else AttachSide.FRONT
-    runs = []
-    at = s1
+    runs, at = [], s1
     while at != s0:
-        nxt = bypass_step(at, BypassMove(side, s0))
-        dp, dq = nxt.num - at.num, nxt.den - at.den
-        run = SliceBlock(at, (dp, dq), abs(det(at, s0)) // abs(dp * s0.den - dq * s0.num))
-        runs.append(run)
-        at = run.end
+        runs.append(farey_run(at, s0, side))
+        at = runs[-1].end
     return tuple(runs)
 
 
@@ -231,10 +187,8 @@ def induced_chain(spec: SolidTorusSpec) -> BasicSliceChain:
     reciprocal read backwards: |rn| − 1, then |ri| − 2, zeros dropped.
     """
     c = spec.normalized_dividing
-    runs = () if c == MINUS_ONE else _staircase(c, MINUS_ONE)
-    return _within_limit(
-        BasicSliceChain(c, runs), f"the chain of dividing slope {spec.dividing} (meridian {spec.meridian})"
-    )
+    chain = BasicSliceChain(c, _staircase(c, MINUS_ONE))
+    return _within_limit(chain, f"the chain of dividing slope {spec.dividing} (meridian {spec.meridian})")
 
 
 def solid_torus_count(spec: SolidTorusSpec) -> int:

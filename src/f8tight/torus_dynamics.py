@@ -3,9 +3,11 @@
 Attaching a bypass to such a torus changes its dividing slope by a single
 Farey move: the new slope is the Farey neighbor of the old slope s that is
 furthest clockwise inside the arc running clockwise from s to the slope of
-the attaching arc (and the mirror of this for back attachments).  Iterating
-front moves with attaching slope 0 drives every admissible slope to one of
-the two terminal slopes −3 or ∞; `thicken_path` records that orbit.
+the attaching arc (and the mirror of this for back attachments).  Repeated
+moves toward a fixed slope go in runs of equal steps, each found with one
+move (`farey_run`, which also builds the chains of `tight_counts`).
+Iterating front moves with attaching slope 0 drives every admissible slope
+to −3 or ∞; `thicken_path` records that orbit as such runs.
 
 `has_boundary_parallel_bypass` is the existence predicate for the move:
 it fails exactly on the three exceptional families −(4n−1)/n, 1/n and
@@ -15,11 +17,11 @@ genuine endpoint of the dynamics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
-from .classification import TOROIDAL_COEFFICIENTS, finite_coefficient
-from .slope import INFINITY, ZERO, Slope, basis_completion, det, is_farey_adjacent, reduce
+from .classification import finite_coefficient, is_toroidal
+from .slope import INFINITY, ZERO, SliceBlock, Slope, basis_completion, det, is_farey_adjacent, reduce, walk_end
 
 MINUS_THREE = Slope(-3, 1)
 
@@ -41,27 +43,33 @@ class BypassMove:
 class ThickeningPath:
     """Orbit of a slope under front bypass moves with attaching slope 0.
 
-    `steps` lists the slopes after each move, so the full visited sequence
-    is (start, *steps).  Consecutive slopes are Farey-adjacent except for
-    one sanctioned shortcut: a path sitting at −1/n jumps straight to its
-    terminal ∞, and for n ≥ 2 those two slopes are not adjacent.
+    The moves are stored as runs of equal steps, O(runs) however many
+    moves; `steps` spells out the slopes after each move and `slopes` is
+    (start, *steps).  Every move turns clockwise and ∞ comes only at the
+    end, so no slope repeats.  Every move is a Farey edge except a last run
+    from −1/n straight to its terminal ∞, not adjacent for n ≥ 2.
     """
 
     start: Slope
-    steps: tuple[Slope, ...] = field(default=())
+    runs: tuple[SliceBlock, ...] = ()
     reached_minus_three: bool = False
     reached_infinity: bool = False
 
     def __post_init__(self) -> None:
         if not (self.reached_minus_three or self.reached_infinity):
             raise ValueError("a completed path must reach -3 or inf")
-        visited = self.slopes
-        if len({(s.num, s.den) for s in visited}) != len(visited):
-            raise ValueError("thickening path revisits a slope")
-        last = len(visited) - 2
-        for i, (a, b) in enumerate(zip(visited, visited[1:])):
-            if abs(det(a, b)) != 1 and not (i == last and b.is_infinity):
-                raise ValueError(f"non-adjacent consecutive slopes {a}, {b}")
+        at = walk_end(self.start, self.runs[:-1])
+        if at.num != -1 or self.runs[-1:] != (SliceBlock(at, (2, -at.den), 1),):
+            walk_end(at, self.runs[-1:])
+        for run in self.runs:
+            if run.start.is_infinity:
+                raise ValueError("a thickening path reaches inf only at its end")
+            if run.start.num * run.step[1] - run.start.den * run.step[0] >= 0:
+                raise ValueError(f"the run from {run.start} by {run.step} does not turn clockwise")
+
+    @property
+    def steps(self) -> tuple[Slope, ...]:
+        return tuple(s for run in self.runs for s in run.slopes())
 
     @property
     def slopes(self) -> tuple[Slope, ...]:
@@ -92,20 +100,14 @@ def bypass_step(s: Slope, move: BypassMove) -> Slope:
         raise ValueError(f"degenerate bypass: arc slope equals torus slope {s}")
     if is_farey_adjacent(s, r):
         return r
-    front = move.attach_side is AttachSide.FRONT
-    if s.is_infinity:
-        # Neighbors of inf are the integers, and the clockwise arc from inf
-        # climbs from below r, so the front move lands just under r: the
-        # floor of r (the ceiling for a back move).
-        n = r.num // r.den if front else -(-r.num // r.den)
-        return reduce(n, 1)
     u, v = basis_completion(s)
     # Neighbors of s are (u, v) + k (p, q); k increasing sweeps clockwise.
     # The sweep crosses r at the real parameter a/b below (never an integer
     # here, since an integer k would mean r itself is a neighbor); floor
-    # division takes its floor (ceiling) whatever the sign of b.
+    # division takes its floor (ceiling) whatever the sign of b.  From ∞,
+    # whose neighbors are the integers k, a/b is r itself.
     a, b = v * r.num - u * r.den, det(s, r)
-    k = a // b if front else -(-a // b)
+    k = a // b if move.attach_side is AttachSide.FRONT else -(-a // b)
     return reduce(u + k * s.num, v + k * s.den)
 
 
@@ -129,28 +131,28 @@ def has_boundary_parallel_bypass(s: Slope) -> bool:
 _WALK_EVENTS = ((1, 3, 0), (1, 0, -1), (0, 1, 0), (1, 4, 1), (1, 0, 1), (1, -4, 1))
 
 
-def _front_run(s: Slope) -> list[Slope]:
-    """The front moves toward 0 from s that repeat the first move's step.
+def farey_run(at: Slope, target: Slope, side: AttachSide) -> SliceBlock:
+    """The run of equal steps that bypass moves toward target take from at.
 
-    One bypass move gives the step w, and the walk goes on by +w while it
-    stays short of 0, that is for |p| // |w_p| moves (the vectors s + k·w
-    pass 0 at k = −p / w_p).  The run ends early at its first slope where
-    `thicken_path` halts or refuses, so that slope is checked there.
+    One bypass move gives the step w, and the greedy walk repeats it while
+    it stays short of target: the vectors at + k·w reach target at the real
+    k = |det(at, target)| / |det(w, target)|, whose integer part is the size.
     """
-    nxt = bypass_step(s, BypassMove(AttachSide.FRONT, ZERO))
-    p, q = s.num, s.den
-    dp, dq = nxt.num - p, nxt.den - q
-    size = abs(p) // abs(dp) if dp else 1
+    nxt = bypass_step(at, BypassMove(side, target))
+    dp, dq = nxt.num - at.num, nxt.den - at.den
+    return SliceBlock(at, (dp, dq), abs(det(at, target)) // abs(dp * target.den - dq * target.num))
+
+
+def _front_run(s: Slope) -> SliceBlock:
+    """The `farey_run` toward 0 from s, cut at its first slope where
+    `thicken_path` halts or refuses, so that slope is checked there."""
+    run = farey_run(s, ZERO, AttachSide.FRONT)
+    (dp, dq), size = run.step, run.size
     for a, b, t in _WALK_EVENTS:
-        at, per_move = a * p + b * q, a * dp + b * dq
+        at, per_move = a * s.num + b * s.den, a * dp + b * dq
         if per_move and (t - at) % per_move == 0 and 0 < (t - at) // per_move < size:
             size = (t - at) // per_move
-    run = [nxt] + [Slope(p + k * dp, q + k * dq) for k in range(2, size)]
-    if size > 1:
-        # only the last slope of a run can be ∞, and its vector may be (−1, 0)
-        end_p, end_q = p + size * dp, q + size * dq
-        run.append(Slope(end_p, end_q) if end_q else INFINITY)
-    return run
+    return run._replace(size=size)
 
 
 def thicken_path(s: Slope) -> ThickeningPath:
@@ -159,28 +161,23 @@ def thicken_path(s: Slope) -> ThickeningPath:
     A slope −1/n jumps directly to ∞ (its orbit leaves the two-curve
     regime there).  The slope −3 admits no further bypass and ends the
     path with `reached_minus_three` set.  Starting at 0 is rejected;
-    callers substitute a nearby admissible slope first.  The moves come
-    one run of equal steps at a time (`_front_run`), one bypass move each.
+    callers substitute a nearby admissible slope first.  Each run of moves
+    costs one bypass move (`_front_run`).
     """
     if s == ZERO:
         raise ValueError("thickening is undefined at 0; substitute a stabilized slope")
-    if s.is_infinity:
-        return ThickeningPath(start=s, reached_infinity=True)
-    steps: list[Slope] = []
-    current = s
+    runs, at, moves = [], s, 0
     budget = abs(s.num) + s.den  # paths are no longer than this
-    while len(steps) <= budget:
-        if current == MINUS_THREE:
-            return ThickeningPath(s, tuple(steps), reached_minus_three=True)
-        if current.num == -1:
-            steps.append(INFINITY)
-            return ThickeningPath(s, tuple(steps), reached_infinity=True)
-        if current.is_infinity:
-            return ThickeningPath(s, tuple(steps), reached_infinity=True)
-        if not has_boundary_parallel_bypass(current):
-            raise ValueError(f"no bypass available at {current}; slope is outside the admissible window")
-        steps += _front_run(current)
-        current = steps[-1]
+    while moves <= budget:
+        if at.num == -1:
+            runs.append(SliceBlock(at, (2, -at.den), 1))  # (−1, n) + (2, −n) = ∞
+            at = INFINITY
+        if at in (MINUS_THREE, INFINITY):
+            return ThickeningPath(s, tuple(runs), at == MINUS_THREE, at.is_infinity)
+        if not has_boundary_parallel_bypass(at):
+            raise ValueError(f"no bypass available at {at}; slope is outside the admissible window")
+        runs.append(_front_run(at))
+        moves, at = moves + runs[-1].size, runs[-1].end
     raise RuntimeError(f"thickening of {s} exceeded {budget} moves")
 
 
@@ -192,12 +189,14 @@ def slopes_in_window(w: SlopeWindow) -> list[Slope]:
     """
     r = w.surgery_coefficient
     finite_coefficient(r)  # refuses ∞ with the domain error
-    if r in TOROIDAL_COEFFICIENTS:
+    if is_toroidal(r):
         raise ValueError(f"no slope window at toroidal coefficient {r}")
     # For r = p/q the neighbor of sweep index k (`basis_completion`) is
     # t = (−u − k·p)/(−v − k·q), and t − r = 1/(q·(−v − k·q)).  So the
     # neighbors above r with denominator ≤ bound are one range of k, in
-    # ascending order, ending at ∞ (the vector (1, 0)) exactly when q = 1.
+    # ascending order, one run of step (−p, −q), ending at ∞ (the vector
+    # (1, 0)) exactly when q = 1.
     u, v = basis_completion(r)
     p, q = r.num, r.den
-    return [Slope(-u - k * p, -v - k * q) for k in range(-((w.denominator_bound + v) // q), -v // q + 1)]
+    lo, hi = -((w.denominator_bound + v) // q), -v // q
+    return [] if lo > hi else SliceBlock(Slope(-u - lo * p, -v - lo * q), (-p, -q), hi - lo).slopes(0)

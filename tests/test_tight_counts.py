@@ -18,12 +18,14 @@ from fractions import Fraction
 
 import pytest
 from circle_order import act, value
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from f8tight.cfrac import Form, cfrac_matrix, neg_cfrac, phi, psi
+from f8tight.classification import Family, family_budgets, in_classified_range, structure_families
 from f8tight.slope import (
     INFINITY,
+    SliceBlock,
     Slope,
     det,
     from_rational,
@@ -38,7 +40,6 @@ from f8tight.tight_counts import (
     SIGN_LIMIT,
     BasicSliceChain,
     SignSequence,
-    SliceBlock,
     SolidTorusSpec,
     descent_path,
     enumerate_sign_sequences,
@@ -47,7 +48,7 @@ from f8tight.tight_counts import (
     solid_torus_count,
     solid_torus_spec,
 )
-from f8tight.torus_dynamics import AttachSide, BypassMove, bypass_step
+from f8tight.torus_dynamics import MINUS_THREE, AttachSide, BypassMove, bypass_step
 
 
 def interval_bfs_distance(a: Slope, b: Slope) -> int:
@@ -141,7 +142,7 @@ def test_chain_validation():
         BasicSliceChain(Slope(0, 1), (SliceBlock(Slope(1, 1), (1, 0), 1),))
     with pytest.raises(ValueError):
         BasicSliceChain(Slope(0, 1), (SliceBlock(Slope(0, 1), (1, 0), 0),))
-    with pytest.raises(ValueError):  # -1 + (0, -1) is the vector (-1, 0), not the slope 1/0
+    with pytest.raises(ValueError):  # the block's end -1 + (0, -1) is the vector (-1, 0), which no Slope is
         BasicSliceChain(Slope(-1, 1), (SliceBlock(Slope(-1, 1), (0, -1), 1),))
     single = BasicSliceChain(Slope(-1, 1))
     assert single.edge_count == 0
@@ -464,6 +465,30 @@ def test_meridional_count_recovers_phi(r, expected):
 def test_exceptional_fiber_count_recovers_psi(r, expected):
     spec = solid_torus_spec(from_rational(r), Slope(-3, 1))
     assert solid_torus_count(spec) == psi(r) == expected
+
+
+coefficients = st.fractions(min_value=-200, max_value=200, max_denominator=25).map(from_rational)
+
+
+@given(coefficients)
+def test_the_two_ends_of_the_thickening_count_phi_and_psi(r):
+    # "Counts": the solid torus of meridian r and dividing slope inf has
+    # Phi(r) structures, and for r < -3 the one of dividing slope -3 has Psi(r).
+    assert solid_torus_count(solid_torus_spec(r, INFINITY)) == phi(r)
+    if r.num < -3 * r.den:
+        assert solid_torus_count(solid_torus_spec(r, MINUS_THREE)) == psi(r)
+
+
+@given(coefficients)
+def test_chain_blocks_are_the_family_budgets(r):
+    # "Blocks": the chain of the family's solid torus (dividing -3 for the
+    # standard family, inf for the other two) has the family's nonzero
+    # budgets as its block sizes, in order.
+    assume(in_classified_range(r))
+    for family, chain, _ in structure_families(r):
+        dividing = MINUS_THREE if family is Family.PSI_STD else INFINITY
+        budgets = tuple(b for b in family_budgets(family, chain) if b)
+        assert induced_chain(solid_torus_spec(r, dividing)).blocks == budgets
 
 
 def test_factorization_matrix_frozen():

@@ -6,7 +6,8 @@ traversal arc by brute force, ordered on the circle cut open at infinity
 step must agree.  Oracle for a slope window: every neighbor above r with
 a small enough denominator, found by brute force.  Oracle for a
 thickening path: the walk that makes one bypass move per step and checks
-every slope it reaches; the run-at-a-time walk must agree, errors included.
+every slope it reaches; the path stored as runs must spell out the same
+slopes and flags, errors included.
 The integer step is also checked against its Fraction form: the floor or
 ceiling of the real sweep index where the neighbours of s cross the arc
 slope.
@@ -24,7 +25,17 @@ from hypothesis import strategies as st
 
 from circle_order import Arc, oracle_in_arc, oracle_neighbors, value
 from f8tight.classification import in_classified_range
-from f8tight.slope import INFINITY, ZERO, Slope, basis_completion, det, from_rational, is_farey_adjacent, reduce
+from f8tight.slope import (
+    INFINITY,
+    ZERO,
+    SliceBlock,
+    Slope,
+    basis_completion,
+    det,
+    from_rational,
+    is_farey_adjacent,
+    reduce,
+)
 from f8tight.torus_dynamics import (
     MINUS_THREE,
     AttachSide,
@@ -69,28 +80,36 @@ def fraction_bypass(s: Slope, move: BypassMove) -> Slope:
     return reduce(u + k * s.num, v + k * s.den)
 
 
-def stepwise_thicken(s: Slope) -> ThickeningPath:
-    """Front moves of arc slope 0 one at a time, every slope checked."""
+def stepwise_thicken(s: Slope) -> tuple[tuple[Slope, ...], bool, bool]:
+    """Front moves of arc slope 0 one at a time, every slope checked.
+
+    Returns the visited slopes and the two flags, as `thickened` does."""
     if s == ZERO:
         raise ValueError("thickening is undefined at 0; substitute a stabilized slope")
     if s.is_infinity:
-        return ThickeningPath(start=s, reached_infinity=True)
-    steps: list[Slope] = []
+        return (s,), False, True
+    slopes = [s]
     current = s
     budget = abs(s.num) + s.den
     for _ in range(budget + 1):
         if current == MINUS_THREE:
-            return ThickeningPath(s, tuple(steps), reached_minus_three=True)
+            return tuple(slopes), True, False
         if current.num == -1:
-            steps.append(INFINITY)
-            return ThickeningPath(s, tuple(steps), reached_infinity=True)
+            slopes.append(INFINITY)
+            return tuple(slopes), False, True
         if current.is_infinity:
-            return ThickeningPath(s, tuple(steps), reached_infinity=True)
+            return tuple(slopes), False, True
         if not has_boundary_parallel_bypass(current):
             raise ValueError(f"no bypass available at {current}; slope is outside the admissible window")
         current = bypass_step(current, BypassMove(AttachSide.FRONT, ZERO))
-        steps.append(current)
+        slopes.append(current)
     raise RuntimeError(f"thickening of {s} exceeded {budget} moves")
+
+
+def thickened(s: Slope) -> tuple[tuple[Slope, ...], bool, bool]:
+    """`thicken_path`'s visited slopes and its two flags."""
+    path = thicken_path(s)
+    return path.slopes, path.reached_minus_three, path.reached_infinity
 
 
 def outcome(func, *args):
@@ -294,7 +313,7 @@ def test_thicken_path_structure(s):
 @settings(max_examples=400)
 @given(thickening_starts)
 def test_thicken_path_matches_the_stepwise_walk(s):
-    assert outcome(thicken_path, s) == outcome(stepwise_thicken, s)
+    assert outcome(thickened, s) == outcome(stepwise_thicken, s)
 
 
 @pytest.mark.parametrize(
@@ -309,18 +328,46 @@ def test_thicken_path_matches_the_stepwise_walk(s):
     ],
 )
 def test_long_runs_match_the_stepwise_walk(start):
-    assert outcome(thicken_path, start) == outcome(stepwise_thicken, start)
+    assert outcome(thickened, start) == outcome(stepwise_thicken, start)
 
 
 def test_thickening_path_validation():
-    with pytest.raises(ValueError):
-        ThickeningPath(Slope(-9, 2), (Slope(-4, 1), MINUS_THREE))
-    with pytest.raises(ValueError):
-        ThickeningPath(Slope(-2, 1), (Slope(-1, 1), Slope(-2, 1)), reached_infinity=True)
-    with pytest.raises(ValueError):
-        ThickeningPath(Slope(-5, 2), (Slope(-1, 1), INFINITY), reached_infinity=True)
-    ok = ThickeningPath(Slope(-1, 3), (INFINITY,), reached_infinity=True)
-    assert ok.slopes == (Slope(-1, 3), INFINITY)
+    def path(start, *runs, **flags):
+        return ThickeningPath(start, tuple(SliceBlock(*run) for run in runs), **flags)
+
+    minus_two, minus_one, to_minus_four = Slope(-2, 1), Slope(-1, 1), (Slope(-9, 2), (5, -1), 1)
+    with pytest.raises(ValueError, match="must reach"):  # no flag
+        path(Slope(-9, 2), to_minus_four, (Slope(-4, 1), (1, 0), 1))
+    with pytest.raises(ValueError, match="does not turn clockwise"):  # -2, -1, -2 revisits -2
+        path(minus_two, (minus_two, (1, 0), 1), (minus_one, (-1, 0), 1), reached_infinity=True)
+    with pytest.raises(ValueError, match="not a Farey edge"):  # -5/2 to -1 is no edge
+        path(Slope(-5, 2), (Slope(-5, 2), (4, -1), 1), (minus_one, (2, -1), 1), reached_infinity=True)
+    with pytest.raises(ValueError, match="not a Farey edge"):  # det((-9, 2), (2, 0)) = -4
+        path(Slope(-9, 2), (Slope(-9, 2), (2, 0), 3), reached_minus_three=True)
+    with pytest.raises(ValueError, match="but the walk stands at -4"):  # a gap from -4 to 4
+        path(Slope(-9, 2), to_minus_four, (Slope(4, 1), (-3, -1), 1), reached_infinity=True)
+    with pytest.raises(ValueError, match="inf only at its end"):  # 3, inf, -3
+        path(Slope(3, 1), (Slope(3, 1), (-2, -1), 1), (INFINITY, (-4, 1), 1), reached_minus_three=True)
+    jump = (Slope(-1, 3), (2, -3), 1)  # -1/3 straight to inf
+    with pytest.raises(ValueError, match="not a Farey edge"):  # the jump, but not last
+        path(Slope(-1, 3), jump, (INFINITY, (-4, 1), 1), reached_minus_three=True)
+    assert path(Slope(-1, 3), jump, reached_infinity=True).slopes == (Slope(-1, 3), INFINITY)
+
+
+def test_thicken_path_builds_a_slope_per_run_not_per_move(monkeypatch):
+    start = Slope(1_000_001, 1_000_000)
+    built = []
+    original = Slope.__post_init__
+
+    def counted(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(Slope, "__post_init__", counted)
+    path = thicken_path(start)
+    monkeypatch.undo()
+    assert len(built) < 10
+    assert len(path.steps) == 1_000_000
 
 
 def test_window_frozen_example():
