@@ -259,6 +259,8 @@ def structure_families(r: Slope) -> list[tuple[Family, NegContinuedFraction | No
     too: the first budget is at least 1 and the lattice has Φ(r) entries.
     """
     p, q = finite_coefficient(r)
+    if is_toroidal(r):
+        raise ValueError(f"coefficient {r} is toroidal: M({r}) has infinitely many tight structures")
     if not in_classified_range(r):
         raise ValueError(f"coefficient {r} is outside the classified range")
     if p > 0:

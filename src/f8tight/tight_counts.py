@@ -6,7 +6,10 @@ A solid torus factors into a chain of basic slices along the monotone
 Farey staircase from its (normalized) boundary slope down to −1, one
 `farey_run` per continued-fraction block, and its tight structures
 correspond to sign sequences along the chain modulo shuffling signs within
-each block.  The resulting count is the block product
+each block.  A class is fixed by its count of − signs in each block, so
+the classes are the points of the mixed-radix lattice Π(block + 1), the
+stabilization lattice `classification.Structures` lists read through
+m = (b − rot)/2.  The resulting count is the block product
 |(r0+1)···(r_{n-1}+1)·rn| of the solid-torus-form expansion, and
 everything here is cross-checkable against that closed form.
 """
@@ -17,6 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cfrac import Form, neg_cfrac, solid_torus_product
 from .slope import SliceBlock, Slope, basis_completion, det, walk_end
@@ -30,9 +34,6 @@ MINUS_ONE = Slope(-1, 1)
 CHAIN_EDGE_LIMIT = 100_000
 # Most signs `enumerate_sign_sequences` writes out: classes × edges.
 SIGN_LIMIT = 10_000_000
-
-NEGATIVE = "-"
-POSITIVE = "+"
 
 
 @dataclass(frozen=True)
@@ -65,25 +66,19 @@ class BasicSliceChain:
         return (self.start, *(s for run in self.runs for s in run.slopes()))
 
 
-@dataclass(frozen=True)
-class SignSequence:
-    """One sign per chain edge, canonically sorted within each block."""
+class SignSequence(NamedTuple):
+    """One shuffle class of signs on a chain: the number of − signs in each block.
 
-    signs: tuple[str, ...]
+    `minus[j]` lies in 0, …, `blocks[j]`; `signs` spells out the canonical
+    form, every − before every + in each block, one sign per edge.
+    """
 
-    def __post_init__(self) -> None:
-        if not {NEGATIVE, POSITIVE}.issuperset(self.signs):
-            raise ValueError(f"signs must be drawn from {NEGATIVE}/{POSITIVE}")
+    blocks: tuple[int, ...]
+    minus: tuple[int, ...]
 
-
-def format_sign_sequence(seq: SignSequence, chain: BasicSliceChain) -> str:
-    """Serialize with `|` between blocks, e.g. ``-+|--``."""
-    parts = []
-    cursor = 0
-    for size in chain.blocks:
-        parts.append("".join(seq.signs[cursor:cursor + size]))
-        cursor += size
-    return "|".join(parts)
+    @property
+    def signs(self) -> tuple[str, ...]:
+        return tuple("".join("-" * m + "+" * (b - m) for b, m in zip(self.blocks, self.minus)))
 
 
 @dataclass(frozen=True)
@@ -154,28 +149,23 @@ def descent_path(s0: Slope, s1: Slope) -> BasicSliceChain:
 
 
 def enumerate_sign_sequences(chain: BasicSliceChain) -> list[SignSequence]:
-    """Canonical sign sequences, one per shuffle class.
+    """The shuffle classes of signs on the chain, as per-block − counts.
 
-    Within a block only the multiset of signs matters, so the canonical
-    form puts every − before every +; a block of m edges contributes m+1
-    choices and the list has the block-product length.  A list of more
-    than `SIGN_LIMIT` signs in all is refused before any is built.
+    A block of m edges offers m+1 counts, listed from m down to 0, so the
+    list has the block-product length and class k is point k of the
+    stabilization lattice on the same blocks.  Spelling every class out
+    takes classes × edges signs; a list of more than `SIGN_LIMIT` is
+    refused before any class is built.
     """
-    count = math.prod(size + 1 for size in chain.blocks)
+    blocks = chain.blocks
+    count = math.prod(size + 1 for size in blocks)
     edges = chain.edge_count
     if count * edges > SIGN_LIMIT:
         raise ValueError(
             f"a chain of {edges} edges has {count} sign-sequence classes; "
             f"listing them takes {count * edges} signs, more than {SIGN_LIMIT}"
         )
-    per_block = [
-        [(NEGATIVE,) * minus + (POSITIVE,) * (size - minus) for minus in range(size, -1, -1)]
-        for size in chain.blocks
-    ]
-    return [
-        SignSequence(tuple(itertools.chain.from_iterable(combo)))
-        for combo in itertools.product(*per_block)
-    ]
+    return [SignSequence(blocks, minus) for minus in itertools.product(*(range(b, -1, -1) for b in blocks))]
 
 
 def induced_chain(spec: SolidTorusSpec) -> BasicSliceChain:
@@ -196,7 +186,7 @@ def solid_torus_count(spec: SolidTorusSpec) -> int:
 
     Expands the reciprocal of the normalized dividing slope in solid-torus
     form and takes |(r0+1)···(r_{n-1}+1)·rn|.  Equals the number of
-    canonical sign sequences of `induced_chain(spec)`.
+    sign-sequence classes of `induced_chain(spec)`.
     """
     c = spec.normalized_dividing
     cf = neg_cfrac(Fraction(-c.den, -c.num), Form.SOLID_TORUS)

@@ -135,8 +135,11 @@ def test_tight_count_validation():
 
 
 def test_enumerate_rejects_gap_and_toroidal_coefficients():
-    for r in (Fraction(1, 2), Fraction(9, 2), Fraction(-7, 2), 0, 4, -4):
-        with pytest.raises(ValueError):
+    for r in (Fraction(1, 2), Fraction(9, 2), Fraction(-7, 2)):
+        with pytest.raises(ValueError, match="is outside the classified range"):
+            enumerate_structures(from_rational(r))
+    for r in (0, 4, -4):
+        with pytest.raises(ValueError, match=rf"coefficient {r} is toroidal: M\({r}\) has infinitely many tight structures"):
             enumerate_structures(from_rational(r))
 
 

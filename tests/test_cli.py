@@ -206,11 +206,15 @@ def test_enumerate_json_matches_library():
 
 
 def test_enumerate_outside_range(capsys):
-    for coefficient in ("1/2", "9/2", "0"):
+    for coefficient in ("1/2", "9/2", "0", "4", "-4"):
         code, text = run_cli("enumerate", coefficient)
         assert code == 3
         assert text == ""
-        assert capsys.readouterr().err.startswith("domain error:")
+        if coefficient in ("1/2", "9/2"):
+            reason = "is outside the classified range"
+        else:
+            reason = f"is toroidal: M({coefficient}) has infinitely many tight structures"
+        assert capsys.readouterr().err == f"domain error: coefficient {coefficient} {reason}\n"
 
 
 def test_enumerate_refuses_counts_above_the_limit(capsys, monkeypatch):

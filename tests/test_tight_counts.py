@@ -1,16 +1,20 @@
 """Basic-slice chains, solid-torus normalization, and the block-product count.
 
-Four oracles drive this module: a breadth-first search in a denominator-
+Five oracles drive this module: a breadth-first search in a denominator-
 bounded patch of the Farey graph certifies that descent paths are true
 geodesics, exhaustive sign-sequence enumeration certifies the closed-
 form digit product, the walk that takes one bypass move per edge and
 splits blocks by the pivot rule certifies the chains built one block at
-a time, and a matrix product with a Fraction floor certifies the
-normalization read off integers.
+a time, a per-edge sign builder certifies the classes stored as minus
+counts, and a matrix product with a Fraction floor certifies the
+normalization read off integers.  The stabilization lattices of
+`classification.Structures` are checked to be the sign classes of the
+solid tori at the two ends of the thickening, point for point.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from collections import deque
@@ -22,7 +26,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from f8tight.cfrac import Form, cfrac_matrix, neg_cfrac, phi, psi
-from f8tight.classification import Family, family_budgets, in_classified_range, structure_families
+from f8tight.classification import (
+    Family,
+    coefficients_between,
+    enumerate_structures,
+    family_budgets,
+    in_classified_range,
+    involution,
+    structure_families,
+)
 from f8tight.slope import (
     INFINITY,
     SliceBlock,
@@ -35,15 +47,12 @@ from f8tight.slope import (
 from f8tight.tight_counts import (
     CHAIN_EDGE_LIMIT,
     MINUS_ONE,
-    NEGATIVE,
-    POSITIVE,
     SIGN_LIMIT,
     BasicSliceChain,
     SignSequence,
     SolidTorusSpec,
     descent_path,
     enumerate_sign_sequences,
-    format_sign_sequence,
     induced_chain,
     solid_torus_count,
     solid_torus_spec,
@@ -94,6 +103,13 @@ def stepwise_staircase(s0: Slope, s1: Slope) -> tuple[tuple[Slope, ...], tuple[i
         else:
             sizes.append(1)
     return tuple(path), tuple(sizes)
+
+
+def per_edge_signs(chain: BasicSliceChain) -> list[tuple[str, ...]]:
+    """Every shuffle class spelled out one sign per edge, every − before every
+    + in each block, in product order with the most − signs first."""
+    per_block = [[("-",) * m + ("+",) * (size - m) for m in range(size, -1, -1)] for size in chain.blocks]
+    return [tuple(itertools.chain.from_iterable(combo)) for combo in itertools.product(*per_block)]
 
 
 def times(m: tuple[int, int, int, int], n: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
@@ -162,19 +178,19 @@ def test_chain_spells_its_blocks():
     assert TWO_BLOCKS.edge_count == 4
 
 
-def test_sign_sequence_validation_and_format():
-    with pytest.raises(ValueError):
-        SignSequence(("-", "x"))
-    seq = SignSequence((NEGATIVE, POSITIVE, NEGATIVE, NEGATIVE))
-    assert format_sign_sequence(seq, TWO_BLOCKS) == "-+|--"
+def test_sign_sequence_spells_its_canonical_form():
+    assert SignSequence((2, 2), (1, 2)).signs == ("-", "+", "-", "-")
+    assert SignSequence((3, 1), (0, 1)).signs == ("+", "+", "+", "-")
+    assert SignSequence((), ()).signs == ()
 
 
 def test_enumeration_is_canonical_and_complete():
     seqs = enumerate_sign_sequences(TWO_BLOCKS)
-    assert len(seqs) == 9
-    assert len(set(seqs)) == 9
-    for seq in seqs:
-        assert "+-" not in format_sign_sequence(seq, TWO_BLOCKS).replace("|", " ")
+    assert [seq.minus for seq in seqs] == [
+        (2, 2), (2, 1), (2, 0), (1, 2), (1, 1), (1, 0), (0, 2), (0, 1), (0, 0)
+    ]
+    assert all(seq.blocks == (2, 2) for seq in seqs)
+    assert [seq.signs for seq in seqs] == per_edge_signs(TWO_BLOCKS)
 
 
 def test_descent_path_frozen_example():
@@ -278,7 +294,10 @@ def test_sign_sequence_classes_count_the_solid_torus(meridian, dividing):
     if meridian == dividing:
         return
     spec = solid_torus_spec(meridian, dividing)
-    assert len(enumerate_sign_sequences(induced_chain(spec))) == solid_torus_count(spec)
+    chain = induced_chain(spec)
+    seqs = enumerate_sign_sequences(chain)
+    assert len(seqs) == solid_torus_count(spec)
+    assert [seq.signs for seq in seqs] == per_edge_signs(chain)
 
 
 def test_chain_limit_keeps_its_boundary():
@@ -489,6 +508,58 @@ def test_chain_blocks_are_the_family_budgets(r):
         dividing = MINUS_THREE if family is Family.PSI_STD else INFINITY
         budgets = tuple(b for b in family_budgets(family, chain) if b)
         assert induced_chain(solid_torus_spec(r, dividing)).blocks == budgets
+
+
+@given(coefficients)
+def test_one_expansion_per_row_gives_phi_and_psi(r):
+    # "One expansion per row": with t = (p mod q)/q and -1/t = [d0, d1, ...],
+    # Phi(r) = |d0|·R and, below -3, Psi(r) = |floor(r) + 3|·|d0 + 1|·R, where
+    # R = prod over i >= 1 of |di + 1|.  On integers Phi = 1 and Psi = |r + 3|
+    # below -3.  From -3 up Psi is 0.
+    p, q = r.num, r.den
+    if q == 1:
+        assert phi(r) == 1
+        assert psi(r) == (abs(p + 3) if p < -3 else 0)
+        return
+    d0, *rest = neg_cfrac(Fraction(-q, p % q)).digits
+    rest_product = math.prod(abs(d + 1) for d in rest)
+    assert phi(r) == abs(d0) * rest_product
+    assert psi(r) == (abs(p // q + 3) * abs(d0 + 1) * rest_product if p < -3 * q else 0)
+
+
+def minus_counts(evaluations: tuple[int, ...], budgets: list[int], scale: int) -> tuple[int, ...]:
+    """The lattice point read as a sign class: m = (b − e/scale)/2 on each slot of nonzero budget."""
+    counts = []
+    for e, b in zip(evaluations, budgets):
+        m, rest = divmod(b * scale - e, 2 * scale)
+        assert rest == 0 and 0 <= m <= b
+        if b:
+            counts.append(m)
+    return tuple(counts)
+
+
+def test_stabilization_lattices_are_the_sign_classes():
+    # Each family's lattice, read through m = (b − rot)/2 with the zero-budget
+    # slots (and L′) dropped, lists the sign classes of its solid torus in
+    # order, and the involution flips every sign: m ↦ b − m.
+    pairs = set()
+    for r in coefficients_between(Fraction(-30), Fraction(30), 8):
+        if not in_classified_range(r):  # which leaves out the toroidal 0 and ±4
+            continue
+        structures = enumerate_structures(r)
+        certs = iter(structures)
+        for family, scale, _, slots, _ in structures.blocks():
+            block = list(itertools.islice(certs, math.prod(map(len, slots))))
+            lead = 1 if family is Family.POSITIVE_R else 0  # the L′ slot
+            budgets = [len(slot) - 1 for slot in slots[lead:]]
+            dividing = MINUS_THREE if family is Family.PSI_STD else INFINITY
+            classes = enumerate_sign_sequences(induced_chain(solid_torus_spec(r, dividing)))
+            assert [minus_counts(c.evaluations[lead:], budgets, scale) for c in block] == [s.minus for s in classes]
+            flipped = [minus_counts(involution(c).evaluations[lead:], budgets, scale) for c in block]
+            assert flipped == [tuple(b - m for b, m in zip(s.blocks, s.minus)) for s in classes]
+            pairs.add((r, family))
+        assert next(certs, None) is None
+    assert len(pairs) == 1827
 
 
 def test_factorization_matrix_frozen():
