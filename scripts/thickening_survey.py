@@ -77,13 +77,8 @@ def main(argv: list[str] | None = None) -> int:
             # the meridional start is routed through its stabilized stand-in
             start = s if s != ZERO else Slope(-1, r.den + 1)
             path = thicken_path(start)
-            if path.reached_minus_three and path.reached_infinity:
-                endpoints["both"] += 1
-            elif path.reached_minus_three:
-                endpoints["minus-three"] += 1
-            else:
-                endpoints["infinity"] += 1
-            steps = len(path.slopes) - 1
+            endpoints["minus-three" if path.reached_minus_three else "infinity"] += 1
+            steps = sum(run.size for run in path.runs)
             lengths[steps] += 1
             if not start.is_infinity:
                 slack.append((abs(start.num) + start.den) - steps)

@@ -17,12 +17,12 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 
-from .cfrac import NegContinuedFraction, neg_cfrac, phi, psi, standard_product
-from .slope import Slope
+from .cfrac import neg_cfrac, phi, psi
+from .slope import Slope, basis_completion
 from .surgery_enum import chain_budgets
 
 
@@ -96,7 +96,8 @@ class ClassificationResult:
     coefficient: Slope
     verdict: Geometry
     count: TightCount
-    structures: tuple[ContactStructureCert, ...]
+    # The lazy `Structures` where the count is exact, else (); fixed by the coefficient, so not compared.
+    structures: Sequence[ContactStructureCert] = field(compare=False)
 
     def __post_init__(self) -> None:
         r = self.coefficient
@@ -165,8 +166,7 @@ def coefficients_between(start: Fraction, stop: Fraction, max_denominator: int) 
     if n < 1:
         raise ValueError("denominator bound must be positive")
     c, d = _least_term_from(start.numerator, start.denominator, n)
-    b = pow(c, -1, d)  # c·b ≡ 1 (mod d)
-    a = (c * b - 1) // d
+    a, b = basis_completion(Slope(c, d))  # c·b − d·a = 1
     x, y = stop.numerator, stop.denominator
     slopes = []
     while c * y <= x * d:
@@ -241,15 +241,15 @@ def row_tallies(r: Slope) -> RowTallies:
     return RowTallies(TightCount(CountKind.FINITE, total), ut, candidates, total if p >= -9 * q else psi_r)
 
 
-def structure_families(r: Slope) -> list[tuple[Family, NegContinuedFraction | None, int]]:
-    """The families of tight structures on M(r) in enumeration order, as (family, chain, scale).
+def structure_families(r: Slope) -> list[tuple[Family, tuple[tuple[int, int], ...], int]]:
+    """The families of tight structures on M(r) in enumeration order, as (family, budgets, scale).
 
-    `chain` is the one expansion the family's budgets are read from, by
-    `family_size` and `family_budgets`: r + 3 for the standard-background
-    family (r < −3, listed first), −1/t (t the fractional part of r) for
-    the overtwisted-background one, 1/(1 − r) for positive r.  It is
-    None where nothing is expanded: the integral overtwisted family and
-    r = 1, where L is erased.
+    `budgets` are the (budget, run) blocks of the family's chain, read off
+    one expansion by `chain_budgets`: r + 3 for the standard-background
+    family (r < −3, listed first), −1/t (t the representative of r mod 1
+    in (0, 1]) for the overtwisted-background one, 1/(1 − r) for positive
+    r.  On integers t = 1 expands to [−1], one unstabilized knot; at r = 1
+    L is erased and no budget is left.
 
     For non-integral r = p/q in the window (n, n + 1), n ≤ −1, the two
     candidate knots arise as the stabilizations of the virtual knot, so
@@ -264,29 +264,18 @@ def structure_families(r: Slope) -> list[tuple[Family, NegContinuedFraction | No
     if not in_classified_range(r):
         raise ValueError(f"coefficient {r} is outside the classified range")
     if p > 0:
-        return [(Family.POSITIVE_R, None if p == q else neg_cfrac(Fraction(-q, p - q)), 1)]
-    families = [(Family.PSI_STD, neg_cfrac(Fraction(p + 3 * q, q)), 1)] if p < -3 * q else []
+        return [(Family.POSITIVE_R, () if p == q else chain_budgets(neg_cfrac(Fraction(-q, p - q))), 1)]
+    families = [(Family.PSI_STD, chain_budgets(neg_cfrac(Fraction(p + 3 * q, q))), 1)] if p < -3 * q else []
     # The two integral candidate surgeries give isotopic structures, so
     # there the family is the single fixed point of the sign involution.
-    families.append((Family.PHI_OVERTWISTED, None if q == 1 else neg_cfrac(Fraction(-q, p % q)), abs(p // q)))
+    families.append((Family.PHI_OVERTWISTED, chain_budgets(neg_cfrac(Fraction(-q, p % q or q))), abs(p // q)))
     return families
 
 
-def family_size(family: Family, chain: NegContinuedFraction | None) -> int:
-    """Π(b + 1) over the chain's budgets, the standard product; ×2 for the two L′ signs."""
-    size = 1 if chain is None else standard_product(chain)
+def family_size(family: Family, budgets: tuple[tuple[int, int], ...]) -> int:
+    """Π(b + 1)^run over the budget blocks, the standard product; ×2 for the two L′ signs."""
+    size = math.prod((b + 1) ** run for b, run in budgets)
     return 2 * size if family is Family.POSITIVE_R else size
-
-
-def family_budgets(family: Family, chain: NegContinuedFraction | None) -> tuple[int, ...]:
-    """The stabilization budgets of the family's chain.
-
-    Without a chain, the integral overtwisted family is one unstabilized
-    knot, and r = 1 is L′ alone, which `Structures.blocks` adds.
-    """
-    if chain is None:
-        return () if family is Family.POSITIVE_R else (0,)
-    return chain_budgets(chain)
 
 
 def corner_tag(family: Family, r: Slope) -> UTTag:
@@ -315,18 +304,18 @@ def stein_tag(family: Family, r: Fraction | int | Slope) -> SteinTag:
 class Structures(Sequence):
     """The tight structures on M(r), listed lazily off their stabilization lattices.
 
-    `len` reads the family sizes off the chain expansions alone; budgets
-    are spelled out only when structures are asked for, and no
-    certificate is built until then.  The listing goes family by family
-    (as `structure_families`), block by block (`blocks`), and within a
-    block in `itertools.product` order, the last slot fastest: mixed radix
+    `len` reads the family sizes off the budget blocks alone; slots are
+    spelled out only when structures are asked for, and no certificate
+    is built until then.  The listing goes family by family (as
+    `structure_families`), block by block (`blocks`), and within a block
+    in `itertools.product` order, the last slot fastest: mixed radix
     (Knuth, TAOCP 4A §7.2.1.1, Algorithm M), so `[i]` reads i's digits.
     """
 
     def __init__(self, r: Slope) -> None:
         self.coefficient = r
         self.families = structure_families(r)
-        self._size = sum(family_size(family, chain) for family, chain, _ in self.families)
+        self._size = sum(family_size(family, budgets) for family, budgets, _ in self.families)
 
     def __len__(self) -> int:
         return self._size
@@ -340,11 +329,13 @@ class Structures(Sequence):
         tuples (all at −b, all at +b), tagged `corner`; every other point
         is UTTag.NO.  For positive r, L′ (contact −2 on tb = 1, budget 1)
         comes first: each of its signs −1, 1 heads a block of its own over
-        the chain's slots, and does not affect universal tightness.
+        the chain's slots, and does not affect universal tightness.  A
+        budget run shares one `range`.
         """
         r = self.coefficient
-        for family, chain, scale in self.families:
-            slots = [range(-scale * b, scale * b + 1, 2 * scale) for b in family_budgets(family, chain)]
+        for family, budgets, scale in self.families:
+            runs = (itertools.repeat(range(-scale * b, scale * b + 1, 2 * scale), run) for b, run in budgets)
+            slots = list(itertools.chain.from_iterable(runs))
             stein, corner = stein_tag(family, r), corner_tag(family, r)
             if family is Family.POSITIVE_R:
                 for sign in (-1, 1):
@@ -400,12 +391,13 @@ def involution(cert: ContactStructureCert) -> ContactStructureCert:
 def classify(r: Slope) -> ClassificationResult:
     """Full verdict for M(r): geometry, count, and certificates if exact.
 
-    On the classified range the exact count is the number of certificates,
-    so only their chains are expanded; elsewhere the count is `tight_count`.
+    On the classified range the exact count is the length of the lazy
+    `enumerate_structures(r)`, handed out as is: no certificate is built
+    until one is read.  Elsewhere the count is `tight_count`.
     """
     finite_coefficient(r)
     if in_classified_range(r):
-        structures = tuple(enumerate_structures(r))
+        structures = enumerate_structures(r)
         count = TightCount(CountKind.FINITE, len(structures))
     else:
         structures, count = (), tight_count(r)

@@ -198,7 +198,8 @@ def _block_text(family, scale: int, stein, slots: list[range], corner: UTTag, as
     in C: a line is a fixed head, its evaluations and a fixed tail.  JSON
     objects are listed the same way, and pieces are to be joined by ", ".
     """
-    slots = [list(map(str, slot)) for slot in slots]
+    text = {slot: tuple(map(str, slot)) for slot in set(slots)}  # a budget run shares one tuple
+    slots = [text[slot] for slot in slots]
     uts = (UTTag.NO.value, corner.value)
     if as_json:
         head, sep, between = f'{{"family": "{family.value}", "evaluations": ["', '", "', ", "

@@ -87,7 +87,7 @@ def from_rational(x: Fraction | int) -> Slope:
 
 
 def parse_slope(text: str) -> Slope:
-    """Parse ``p/q``, a bare integer ``n``, or ``inf``.
+    """Parse ``p/q``, ``inf``, or a number `Fraction` reads (``n``, ``-4.5``, ``1e3``).
 
     Inverse of str() on canonical slopes, but accepts unreduced input.
     """
@@ -97,7 +97,7 @@ def parse_slope(text: str) -> Slope:
     if "/" in text:
         num_part, den_part = text.split("/", 1)
         return reduce(int(num_part), int(den_part))
-    return reduce(int(text), 1)
+    return from_rational(Fraction(text))
 
 
 def det(a: Slope, b: Slope) -> int:
@@ -118,23 +118,13 @@ def basis_completion(s: Slope) -> tuple[int, int]:
 
     Every Farey neighbor of s is (u + k·p, v + k·q) for a unique k ∈ Z, and
     increasing k sweeps the neighbors clockwise once around the circle.
+    Here v = p⁻¹ mod q, in [0, q), and (0, 1) for ∞.
     """
-    # Extended Euclid on (p, q); the canonical q ≥ 0 makes the sweep direction
-    # independent of s.
     p, q = s.num, s.den
-    old_r, r = p, q
-    old_s, sc = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        quotient = old_r // r
-        old_r, r = r, old_r - quotient * r
-        old_s, sc = sc, old_s - quotient * sc
-        old_t, t = t, old_t - quotient * t
-    # old_r = gcd = ±1 and p·old_s + q·old_t = old_r.
-    if old_r == -1:
-        old_s, old_t = -old_s, -old_t
-    # p·old_s + q·old_t = 1; we want p·v − q·u = 1, so v = old_s, u = −old_t.
-    return (-old_t, old_s)
+    if q == 0:
+        return (0, 1)
+    v = pow(p, -1, q)
+    return ((p * v - 1) // q, v)
 
 
 class SliceBlock(NamedTuple):

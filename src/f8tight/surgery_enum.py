@@ -4,11 +4,11 @@ Negative contact surgery on a Legendrian knot unrolls into a chain of
 Legendrian surgeries: expand the coefficient as [r0, ..., rn] in standard
 negative continued fraction form, stabilize the knot |r0+1| times, then
 each successive push-off |ri+2| times.  A push-off keeps the invariants
-of its predecessor, so the chain is exactly its budget tuple, read off
-one expansion (`chain_budgets`).  Which way each stabilization goes is a
-free choice, and the resulting rotation numbers, scaled into Chern class
-evaluations (⟨c₁, h⟩ = rot for Legendrian surgery), certify that the
-contact structures built from different choices are pairwise distinct.
+of its predecessor, so the chain is fixed by its budgets, read off one
+expansion as (budget, run) blocks (`chain_budgets`).  Which way each
+stabilization goes is a free choice, and the resulting rotation numbers,
+scaled into Chern class evaluations (⟨c₁, h⟩ = rot for Legendrian
+surgery), tell the structures of different choices apart.
 
 Only the base knots the classification needs are modeled, each given by
 its (tb, rot):
@@ -31,14 +31,16 @@ from fractions import Fraction
 from .cfrac import Form, NegContinuedFraction, neg_cfrac, standard_product
 
 
-def chain_budgets(cf: NegContinuedFraction) -> tuple[int, ...]:
-    """The stabilization budgets of the chain for contact r-surgery, r < 0.
+def chain_budgets(cf: NegContinuedFraction) -> tuple[tuple[int, int], ...]:
+    """The stabilization budgets of the chain for contact r-surgery, r < 0, as (budget, run) blocks.
 
     `cf` is r's standard expansion [r0, ..., rn]: budget |r0 + 1|, then
-    |ri + 2| for each push-off.
+    |ri + 2| for each push-off, read off `cf.blocks` without spelling out
+    digits; a run of −2s after r0 is one block of budget 0.
     """
-    digits = cf.digits
-    return (abs(digits[0] + 1), *(abs(d + 2) for d in digits[1:]))
+    (head, run), *rest = cf.blocks
+    pushoffs = [(head, run - 1), *rest] if run > 1 else rest
+    return ((abs(head + 1), 1), *((abs(d + 2), n) for d, n in pushoffs))
 
 
 def choice_count(r_contact: Fraction | int) -> int:

@@ -47,17 +47,14 @@ class ThickeningPath:
     moves; `steps` spells out the slopes after each move and `slopes` is
     (start, *steps).  Every move turns clockwise and ∞ comes only at the
     end, so no slope repeats.  Every move is a Farey edge except a last run
-    from −1/n straight to its terminal ∞, not adjacent for n ≥ 2.
+    from −1/n straight to its terminal ∞, not adjacent for n ≥ 2.  A
+    completed path ends at −3 or ∞, and the two flags say which.
     """
 
     start: Slope
     runs: tuple[SliceBlock, ...] = ()
-    reached_minus_three: bool = False
-    reached_infinity: bool = False
 
     def __post_init__(self) -> None:
-        if not (self.reached_minus_three or self.reached_infinity):
-            raise ValueError("a completed path must reach -3 or inf")
         at = walk_end(self.start, self.runs[:-1])
         if at.num != -1 or self.runs[-1:] != (SliceBlock(at, (2, -at.den), 1),):
             walk_end(at, self.runs[-1:])
@@ -66,6 +63,20 @@ class ThickeningPath:
                 raise ValueError("a thickening path reaches inf only at its end")
             if run.start.num * run.step[1] - run.start.den * run.step[0] >= 0:
                 raise ValueError(f"the run from {run.start} by {run.step} does not turn clockwise")
+        if not (self.reached_minus_three or self.reached_infinity):
+            raise ValueError(f"a completed path must reach -3 or inf, not {self.end}")
+
+    @property
+    def end(self) -> Slope:
+        return self.runs[-1].end if self.runs else self.start
+
+    @property
+    def reached_minus_three(self) -> bool:
+        return self.end == MINUS_THREE
+
+    @property
+    def reached_infinity(self) -> bool:
+        return self.end.is_infinity
 
     @property
     def steps(self) -> tuple[Slope, ...]:
@@ -160,7 +171,7 @@ def thicken_path(s: Slope) -> ThickeningPath:
 
     A slope −1/n jumps directly to ∞ (its orbit leaves the two-curve
     regime there).  The slope −3 admits no further bypass and ends the
-    path with `reached_minus_three` set.  Starting at 0 is rejected;
+    path, which then has `reached_minus_three`.  Starting at 0 is rejected;
     callers substitute a nearby admissible slope first.  Each run of moves
     costs one bypass move (`_front_run`).
     """
@@ -173,7 +184,7 @@ def thicken_path(s: Slope) -> ThickeningPath:
             runs.append(SliceBlock(at, (2, -at.den), 1))  # (−1, n) + (2, −n) = ∞
             at = INFINITY
         if at in (MINUS_THREE, INFINITY):
-            return ThickeningPath(s, tuple(runs), at == MINUS_THREE, at.is_infinity)
+            return ThickeningPath(s, tuple(runs))
         if not has_boundary_parallel_bypass(at):
             raise ValueError(f"no bypass available at {at}; slope is outside the admissible window")
         runs.append(_front_run(at))

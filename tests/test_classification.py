@@ -31,7 +31,6 @@ from f8tight.classification import (
     classify,
     coefficients_between,
     enumerate_structures,
-    family_budgets,
     family_size,
     geometry_of,
     in_classified_range,
@@ -43,7 +42,7 @@ from f8tight.classification import (
     structure_families,
     tight_count,
 )
-from f8tight.slope import INFINITY, Slope, from_rational
+from f8tight.slope import INFINITY, Slope, from_rational, reduce
 
 classified = st.fractions(min_value=-30, max_value=30, max_denominator=12).filter(
     in_classified_range
@@ -212,20 +211,20 @@ def test_enumeration_matches_count_and_is_distinct(r):
 L_PRIME_BUDGETS = (1,)
 
 
-def eager_budgets(family: Family, chain) -> tuple[int, ...]:
-    """The budgets of a family's whole lattice, L′ first for positive r."""
-    budgets = family_budgets(family, chain)
-    return L_PRIME_BUDGETS + budgets if family is Family.POSITIVE_R else budgets
+def eager_budgets(family: Family, budgets: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+    """The budgets of a family's whole lattice, one per slot, L′ first for positive r."""
+    spelled = tuple(b for b, run in budgets for _ in range(run))
+    return L_PRIME_BUDGETS + spelled if family is Family.POSITIVE_R else spelled
 
 
 @given(classified)
 def test_family_sizes_sum_to_the_count(r):
-    # The sizes come off the expansions alone; they must be the lattices'.
+    # The sizes come off the budget blocks; they must be the spelled-out lattices'.
     slope = from_rational(r)
     families = structure_families(slope)
-    sizes = [family_size(family, chain) for family, chain, _ in families]
+    sizes = [family_size(family, budgets) for family, budgets, _ in families]
     assert sum(sizes) == tight_count(slope).value
-    assert sizes == [math.prod(b + 1 for b in eager_budgets(family, chain)) for family, chain, _ in families]
+    assert sizes == [math.prod(b + 1 for b in eager_budgets(family, budgets)) for family, budgets, _ in families]
 
 
 def stabilization_tuples(budgets: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -264,8 +263,8 @@ def universal_tightness_tag(family: Family, rots: tuple[int, ...], r: Slope, bud
 def eager_structures(r: Slope) -> list[ContactStructureCert]:
     """The listing as `enumerate_structures` once built it: a certificate per lattice point, each tagged alone."""
     structures = []
-    for family, chain, scale in structure_families(r):
-        budgets = eager_budgets(family, chain)
+    for family, blocks, scale in structure_families(r):
+        budgets = eager_budgets(family, blocks)
         stein = stein_tag(family, value(r))
         for rots in stabilization_tuples(budgets):
             evaluations = tuple(scale * rot for rot in rots)
@@ -296,11 +295,42 @@ def test_structures_match_the_eager_oracle():
 
 def test_structures_length_spells_out_no_budget(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("len must read the expansions alone")
+        raise AssertionError("len must read the budget blocks alone")
 
-    monkeypatch.setattr(classification, "family_budgets", refuse)
+    monkeypatch.setattr(classification.Structures, "blocks", refuse)
     assert len(enumerate_structures(Slope(-1440450, 758539))) == 459270
-    assert len(enumerate_structures(Slope(-1000001, 1000000))) == 2
+    # −1/t = −10⁹/(10⁹ − 1) is −2 repeated 10⁹ − 1 times: budgets (1, 1), (0, 10⁹ − 2).
+    assert len(enumerate_structures(Slope(-(10**9 + 1), 10**9))) == 2
+
+
+def test_classify_builds_no_certificates(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("classify must hand out the lazy listing")
+
+    monkeypatch.setattr(classification, "ContactStructureCert", refuse)
+    result = classify(Slope(-1440450, 758539))
+    assert result.count == TightCount(CountKind.FINITE, 459270)
+    assert len(result.structures) == 459270
+    result = classify(reduce(-123456789012345, 987654321))
+    assert result.count == TightCount(CountKind.FINITE, 319314893760)
+
+
+@pytest.mark.parametrize(
+    "r",
+    [Fraction(-68111, 6930), Fraction(-9, 2), Fraction(-5), Fraction(1), Fraction(7, 3), Fraction(1, 2), Fraction(0)],
+)
+def test_classify_results_are_values(r):
+    # The listing is a function of the coefficient, so results compare and
+    # hash by coefficient, verdict and count, and two listings of one
+    # coefficient list the same structures.
+    first, second = classify(from_rational(r)), classify(from_rational(r))
+    assert first == second and hash(first) == hash(second)
+    assert first != classify(Slope(-11, 2))
+    if first.count.kind is CountKind.FINITE:
+        assert first.structures is not second.structures
+        assert list(first.structures) == list(second.structures) == list(enumerate_structures(from_rational(r)))
+    else:
+        assert first.structures == ()
 
 
 @given(classified)

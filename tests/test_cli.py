@@ -422,6 +422,7 @@ def test_consecutive_runs_match_fresh_runs(capsys):
             "-3/2  Hyperbolic  finite 2  ut 2  cand 0  stein 2/2\n"
             "-1  SmallSeifert  finite 1  ut 1  cand 0  stein 1/1\n",
         ),
+        (("count", "-4.5"), "finite 4\n"),
     ],
 )
 def test_negative_decimals_are_values(argv, expected):

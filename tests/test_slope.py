@@ -57,6 +57,8 @@ def test_constructor_rejects_non_canonical_pairs():
         ("5", Slope(5, 1)),
         ("inf", INFINITY),
         ("-inf", INFINITY),
+        ("-4.5", Slope(-9, 2)),
+        ("1e3", Slope(1000, 1)),
     ],
 )
 def test_parse_slope(text, expected):

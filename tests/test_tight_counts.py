@@ -30,7 +30,6 @@ from f8tight.classification import (
     Family,
     coefficients_between,
     enumerate_structures,
-    family_budgets,
     in_classified_range,
     involution,
     structure_families,
@@ -504,9 +503,9 @@ def test_chain_blocks_are_the_family_budgets(r):
     # standard family, inf for the other two) has the family's nonzero
     # budgets as its block sizes, in order.
     assume(in_classified_range(r))
-    for family, chain, _ in structure_families(r):
+    for family, blocks, _ in structure_families(r):
         dividing = MINUS_THREE if family is Family.PSI_STD else INFINITY
-        budgets = tuple(b for b in family_budgets(family, chain) if b)
+        budgets = tuple(b for b, run in blocks for _ in range(run) if b)
         assert induced_chain(solid_torus_spec(r, dividing)).blocks == budgets
 
 

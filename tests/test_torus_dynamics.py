@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circle_order import Arc, oracle_in_arc, oracle_neighbors, value
+from f8tight import classification, tight_counts, torus_dynamics
 from f8tight.classification import in_classified_range
 from f8tight.slope import (
     INFINITY,
@@ -47,6 +48,7 @@ from f8tight.torus_dynamics import (
     slopes_in_window,
     thicken_path,
 )
+from f8tight.tight_counts import solid_torus_spec
 
 
 def oracle_bypass(s: Slope, move: BypassMove) -> Slope:
@@ -332,26 +334,91 @@ def test_long_runs_match_the_stepwise_walk(start):
 
 
 def test_thickening_path_validation():
-    def path(start, *runs, **flags):
-        return ThickeningPath(start, tuple(SliceBlock(*run) for run in runs), **flags)
+    def path(start, *runs):
+        return ThickeningPath(start, tuple(SliceBlock(*run) for run in runs))
 
     minus_two, minus_one, to_minus_four = Slope(-2, 1), Slope(-1, 1), (Slope(-9, 2), (5, -1), 1)
-    with pytest.raises(ValueError, match="must reach"):  # no flag
-        path(Slope(-9, 2), to_minus_four, (Slope(-4, 1), (1, 0), 1))
+    with pytest.raises(ValueError, match="must reach -3 or inf, not -4"):  # stops short of -3
+        path(Slope(-9, 2), to_minus_four)
+    with pytest.raises(ValueError, match="must reach -3 or inf, not -9/2"):  # no move at all
+        path(Slope(-9, 2))
     with pytest.raises(ValueError, match="does not turn clockwise"):  # -2, -1, -2 revisits -2
-        path(minus_two, (minus_two, (1, 0), 1), (minus_one, (-1, 0), 1), reached_infinity=True)
+        path(minus_two, (minus_two, (1, 0), 1), (minus_one, (-1, 0), 1))
     with pytest.raises(ValueError, match="not a Farey edge"):  # -5/2 to -1 is no edge
-        path(Slope(-5, 2), (Slope(-5, 2), (4, -1), 1), (minus_one, (2, -1), 1), reached_infinity=True)
+        path(Slope(-5, 2), (Slope(-5, 2), (4, -1), 1), (minus_one, (2, -1), 1))
     with pytest.raises(ValueError, match="not a Farey edge"):  # det((-9, 2), (2, 0)) = -4
-        path(Slope(-9, 2), (Slope(-9, 2), (2, 0), 3), reached_minus_three=True)
+        path(Slope(-9, 2), (Slope(-9, 2), (2, 0), 3))
     with pytest.raises(ValueError, match="but the walk stands at -4"):  # a gap from -4 to 4
-        path(Slope(-9, 2), to_minus_four, (Slope(4, 1), (-3, -1), 1), reached_infinity=True)
+        path(Slope(-9, 2), to_minus_four, (Slope(4, 1), (-3, -1), 1))
     with pytest.raises(ValueError, match="inf only at its end"):  # 3, inf, -3
-        path(Slope(3, 1), (Slope(3, 1), (-2, -1), 1), (INFINITY, (-4, 1), 1), reached_minus_three=True)
+        path(Slope(3, 1), (Slope(3, 1), (-2, -1), 1), (INFINITY, (-4, 1), 1))
     jump = (Slope(-1, 3), (2, -3), 1)  # -1/3 straight to inf
     with pytest.raises(ValueError, match="not a Farey edge"):  # the jump, but not last
-        path(Slope(-1, 3), jump, (INFINITY, (-4, 1), 1), reached_minus_three=True)
-    assert path(Slope(-1, 3), jump, reached_infinity=True).slopes == (Slope(-1, 3), INFINITY)
+        path(Slope(-1, 3), jump, (INFINITY, (-4, 1), 1))
+    to_infinity = path(Slope(-1, 3), jump)
+    assert to_infinity.slopes == (Slope(-1, 3), INFINITY)
+    assert (to_infinity.reached_minus_three, to_infinity.reached_infinity) == (False, True)
+    to_minus_three = path(Slope(-9, 2), to_minus_four, (Slope(-4, 1), (1, 0), 1))
+    assert (to_minus_three.reached_minus_three, to_minus_three.reached_infinity) == (True, False)
+    assert path(MINUS_THREE).reached_minus_three and path(INFINITY).reached_infinity
+
+
+def test_thickening_flags_are_read_off_the_end():
+    # The flags cannot be set against the runs: the path of -2/5 ends at inf.
+    p = thicken_path(Slope(-2, 5))
+    assert p.slopes[-1] == INFINITY and (p.reached_minus_three, p.reached_infinity) == (False, True)
+    with pytest.raises(TypeError):
+        ThickeningPath(p.start, p.runs, True, True)
+    with pytest.raises(AttributeError):
+        p.reached_minus_three = True
+
+
+def euclid_completion(s: Slope) -> tuple[int, int]:
+    """The basis completion by extended Euclid on (p, q): (u, v) with p·v − q·u = 1."""
+    p, q = s.num, s.den
+    old_r, r = p, q
+    old_s, sc = 1, 0
+    old_t, t = 0, 1
+    while r != 0:
+        quotient = old_r // r
+        old_r, r = r, old_r - quotient * r
+        old_s, sc = sc, old_s - quotient * sc
+        old_t, t = t, old_t - quotient * t
+    # old_r = gcd = ±1 and p·old_s + q·old_t = old_r.
+    if old_r == -1:
+        old_s, old_t = -old_s, -old_t
+    return (-old_t, old_s)
+
+
+def test_basis_completion_agrees_with_extended_euclid(monkeypatch):
+    # The two completions may differ by a multiple of (p, q), which only
+    # renumbers the sweep; every layer that reads one must answer alike.
+    rng = random.Random(2301)
+    slopes = [INFINITY, ZERO, MINUS_THREE] + [reduce(rng.randint(-80, 80), rng.randint(1, 60)) for _ in range(400)]
+    for s in slopes:
+        u, v = basis_completion(s)
+        eu, ev = euclid_completion(s)
+        assert s.num * v - s.den * u == 1 == s.num * ev - s.den * eu
+        assert s.num * (v - ev) == s.den * (u - eu)
+    assert any(basis_completion(s) != euclid_completion(s) for s in slopes)
+    pairs = [(rng.choice(slopes), rng.choice(slopes), rng.randint(1, 40)) for _ in range(1500)]
+
+    def answers():
+        return [
+            (
+                outcome(bypass_step, s, BypassMove(AttachSide.FRONT, r)),
+                outcome(bypass_step, s, BypassMove(AttachSide.BACK, r)),
+                outcome(lambda: solid_torus_spec(s, r).normalized_dividing),
+                outcome(lambda: slopes_in_window(SlopeWindow(s, bound))),
+                outcome(lambda: thicken_path(s).runs),
+            )
+            for s, r, bound in pairs
+        ]
+
+    expected = answers()
+    for module in (torus_dynamics, tight_counts, classification):
+        monkeypatch.setattr(module, "basis_completion", euclid_completion)
+    assert answers() == expected
 
 
 def test_thicken_path_builds_a_slope_per_run_not_per_move(monkeypatch):
