@@ -23,7 +23,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from f8tight import CountKind, coefficients_between, geometry_of, row_tallies  # noqa: E402
+from f8tight import CountKind, geometry_of  # noqa: E402
+from f8tight.classification import table_rows  # noqa: E402
 
 
 @dataclass(frozen=True)
@@ -48,38 +49,35 @@ def parse_args(argv: list[str]) -> SurveyConfig:
 
 def main(argv: list[str] | None = None) -> int:
     config = parse_args(sys.argv[1:] if argv is None else argv)
-    coefficients = coefficients_between(config.start, config.stop, config.max_denominator)
-    if not coefficients:
-        print("empty coefficient range", file=sys.stderr)
-        return 2
-
     geometries: Counter[str] = Counter()
     kinds: Counter[str] = Counter()
     finite_counts: Counter[int] = Counter()
     tag_totals = Counter(ut_yes=0, ut_candidate=0, stein_yes=0, certificates=0)
     rows = []
 
-    for r in coefficients:
-        geometry, tallies = geometry_of(r).value, row_tallies(r)
-        count = tallies.count
+    for r, (kind, total, ut, candidates, stein) in table_rows(config.start, config.stop, config.max_denominator):
+        geometry = geometry_of(r).value
         geometries[geometry] += 1
-        kinds[count.kind.value] += 1
-        if count.kind is CountKind.FINITE:
-            finite_counts[count.value] += 1
-            tag_totals["certificates"] += count.value
-            tag_totals["ut_yes"] += tallies.universally_tight
-            tag_totals["ut_candidate"] += tallies.candidate_pair
-            tag_totals["stein_yes"] += tallies.stein
+        kinds[kind.value] += 1
+        if kind is CountKind.FINITE:
+            finite_counts[total] += 1
+            tag_totals["certificates"] += total
+            tag_totals["ut_yes"] += ut
+            tag_totals["ut_candidate"] += candidates
+            tag_totals["stein_yes"] += stein
         rows.append(
             {
                 "coefficient": str(r),
                 "geometry": geometry,
-                "kind": count.kind.value,
-                "count": "" if count.value is None else count.value,
+                "kind": kind.value,
+                "count": "" if total is None else total,
             }
         )
+    if not rows:
+        print("empty coefficient range", file=sys.stderr)
+        return 2
 
-    print(f"coefficients surveyed: {len(coefficients)}")
+    print(f"coefficients surveyed: {len(rows)}")
     print(f"window: [{config.start}, {config.stop}], denominators <= {config.max_denominator}")
     print()
     print("geometry:", dict(sorted(geometries.items())))

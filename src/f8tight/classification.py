@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 
-from .cfrac import neg_cfrac, phi, psi
+from .cfrac import neg_cfrac, phi
 from .slope import Slope, basis_completion
 from .surgery_enum import chain_budgets
 
@@ -152,7 +152,12 @@ def _least_term_from(x: int, y: int, n: int) -> tuple[int, int]:
 
 
 def coefficients_between(start: Fraction, stop: Fraction, max_denominator: int) -> list[Slope]:
-    """Every slope p/q in [start, stop] with 1 ≤ q ≤ max_denominator, ascending.
+    """Every slope p/q in [start, stop] with 1 ≤ q ≤ max_denominator, ascending."""
+    return list(_farey_terms(start, stop, max_denominator))
+
+
+def _farey_terms(start: Fraction, stop: Fraction, max_denominator: int) -> Iterator[Slope]:
+    """The slopes of `coefficients_between`, one at a time.
 
     These are the terms of the Farey sequence F_n, n = max_denominator,
     continued over all of Q by integer translation.  Given any a/b with
@@ -168,12 +173,10 @@ def coefficients_between(start: Fraction, stop: Fraction, max_denominator: int) 
     c, d = _least_term_from(start.numerator, start.denominator, n)
     a, b = basis_completion(Slope(c, d))  # c·b − d·a = 1
     x, y = stop.numerator, stop.denominator
-    slopes = []
     while c * y <= x * d:
-        slopes.append(Slope(c, d))
+        yield Slope(c, d)
         k = (n + b) // d
         a, b, c, d = c, d, k * c - a, k * d - b
-    return slopes
 
 
 def geometry_of(r: Slope) -> Geometry:
@@ -212,33 +215,78 @@ class RowTallies:
     stein: int | None = None
 
 
+Tally = tuple[CountKind, int | None, int | None, int | None, int | None]
+
+
 def row_tallies(r: Slope) -> RowTallies:
     """The count and tag tallies of M(r) in closed form, without certificates.
 
-    Φ(r) and Ψ(r) are computed once each.  Only the extremal uniform-sign
-    tuples of a chain are universally tight or candidates: two of them
-    (all at +b or all at −b) when some budget is nonzero, one otherwise.
-    So a negative integer has its one overtwisted-background structure,
-    a negative non-integer the two extremal tuples of its overtwisted
-    family (whose first budget is at least 1), a positive integer the two
-    L′ signs over a chain of zero budgets (1/(1 − r) expands to −1 and
-    then −2s), and a positive non-integer 2 × 2 candidates.  The
-    standard-background family, Ψ(r) structures, is never universally
-    tight and always Stein; the overtwisted-background one is Stein only
-    for r ≥ −9.
+    Φ(r) and Ψ(r) are read off one expansion (`_unit_factors`).
     """
-    p, q = finite_coefficient(r)
+    finite_coefficient(r)  # refuses ∞ with the domain error
+    kind, total, *tags = _tally(r, *_unit_factors(r))
+    return RowTallies(TightCount(kind, total), *tags)
+
+
+def table_rows(start: Fraction, stop: Fraction, max_denominator: int) -> Iterator[tuple[Slope, Tally]]:
+    """Each coefficient of `coefficients_between` with its tallies (count kind, total, ut, cand, stein).
+
+    The tallies are `row_tallies`' fields, with the count's kind and value
+    side by side.  Φ and Ψ/|⌊r⌋ + 3| depend on r mod 1 alone, so the sweep
+    expands each fractional part (p mod q)/q once and keeps its factors
+    until the sweep ends.
+    """
+    factors: dict[tuple[int, int], tuple[int, int]] = {}
+    for r in _farey_terms(start, stop, max_denominator):
+        part = (r.num % r.den, r.den)
+        unit = factors.get(part)
+        if unit is None:
+            unit = factors[part] = _unit_factors(r)
+        yield r, _tally(r, *unit)
+
+
+def _unit_factors(r: Slope) -> tuple[int, int]:
+    """Φ(r) and Ψ(r)/|⌊r⌋ + 3|, off the one expansion Φ makes.
+
+    For non-integral r = p/q let −1/t = [d0, d1, …], t = (p mod q)/q, and
+    R = Π_{i≥1} |di + 1|.  Then Φ(r) = |d0|·R, and below −3 r + 3 expands
+    to [⌊r⌋ + 3, d0, d1, …], so Ψ(r) = |⌊r⌋ + 3|·|d0 + 1|·R.  The first
+    digit d0 = ⌊−q/(p mod q)⌋ needs no expansion.  On integers Φ = 1 and
+    Ψ = |r + 3|.
+    """
+    p, q = r.num, r.den
+    if q == 1:
+        return 1, 1
+    phi_r, d0 = phi(r), -q // (p % q)
+    return phi_r, phi_r // -d0 * abs(d0 + 1)
+
+
+def _tally(r: Slope, phi_r: int, psi_unit: int) -> Tally:
+    """The tallies of M(r) from r's integers p, q and the factors of `_unit_factors`.
+
+    Only the extremal uniform-sign tuples of a chain are universally
+    tight or candidates: two of them (all at +b or all at −b) when some
+    budget is nonzero, one otherwise.  So a negative integer has its one
+    overtwisted-background structure, a negative non-integer the two
+    extremal tuples of its overtwisted family (whose first budget is at
+    least 1), a positive integer the two L′ signs over a chain of zero
+    budgets (1/(1 − r) expands to −1 and then −2s), and a positive
+    non-integer 2 × 2 candidates.  The standard-background family, Ψ(r)
+    structures, is never universally tight and always Stein; the
+    overtwisted-background one is Stein only for r ≥ −9.
+    """
     if is_toroidal(r):
-        return RowTallies(TightCount(CountKind.INFINITE))
-    phi_r, psi_r = phi(r), psi(r)
+        return CountKind.INFINITE, None, None, None, None
+    p, q = r.num, r.den
+    psi_r = abs(p // q + 3) * psi_unit if p < -3 * q else 0
     total = 2 * phi_r if p > 0 else phi_r + psi_r
     if not in_classified_range(r):
-        return RowTallies(TightCount(CountKind.LOWER_BOUND, total))
+        return CountKind.LOWER_BOUND, total, None, None, None
     if q == 1:
         ut, candidates = (1, 0) if p < 0 else (2, 0)
     else:
         ut, candidates = (2, 0) if p < 0 else (0, 4)
-    return RowTallies(TightCount(CountKind.FINITE, total), ut, candidates, total if p >= -9 * q else psi_r)
+    return CountKind.FINITE, total, ut, candidates, total if p >= -9 * q else psi_r
 
 
 def structure_families(r: Slope) -> list[tuple[Family, tuple[tuple[int, int], ...], int]]:

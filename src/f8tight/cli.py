@@ -21,14 +21,14 @@ from fractions import Fraction
 from .cfrac import Form, neg_cfrac, phi, psi
 from .classification import (
     CountKind,
+    Tally,
     UTTag,
-    coefficients_between,
     enumerate_structures,
     geometry_of,
-    row_tallies,
+    table_rows,
     tight_count,
 )
-from .slope import Slope, parse_slope
+from .slope import Slope, parse_slope, read_rational
 from .surgery_enum import smooth_framing_check
 from .tight_counts import solid_torus_count, solid_torus_spec
 from .torus_dynamics import (
@@ -62,7 +62,7 @@ COUNT_WORDS = {
 # the kind of value they read.
 def rational(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return read_rational(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(str(exc)) from exc
 
@@ -233,27 +233,30 @@ def _cmd_thicken(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_table(args: argparse.Namespace, out) -> int:
-    coefficients = coefficients_between(args.start, args.stop, args.denominator)
-    if not coefficients:
+    """One row per coefficient off `table_rows`.
+
+    The first row is written on its own, the rest in pieces of at most
+    ENUMERATE_CHUNK rows, joined in C.
+    """
+    rows = itertools.starmap(_table_row, table_rows(args.start, args.stop, args.denominator))
+    first = next(rows, None)
+    if first is None:
         print("usage error: empty coefficient range", file=sys.stderr)
         return 2
-    for r in coefficients:
-        tallies = row_tallies(r)
-        count = tallies.count
-        row = [str(r), geometry_of(r).value]
-        if count.kind is CountKind.INFINITE:
-            row += ["infinite", "ut -", "cand -", "stein -"]
-        elif count.kind is CountKind.LOWER_BOUND:
-            row += [f"lower-bound {count.value}", "ut -", "cand -", "stein -"]
-        else:
-            row += [
-                f"finite {count.value}",
-                f"ut {tallies.universally_tight}",
-                f"cand {tallies.candidate_pair}",
-                f"stein {tallies.stein}/{count.value}",
-            ]
-        print("  ".join(row), file=out)
+    out.write(first)
+    while chunk := "".join(itertools.islice(rows, ENUMERATE_CHUNK)):
+        out.write(chunk)
     return 0
+
+
+def _table_row(r: Slope, tally: Tally) -> str:
+    kind, total, ut, candidates, stein = tally
+    geometry = geometry_of(r).value
+    if kind is CountKind.FINITE:
+        return f"{r}  {geometry}  finite {total}  ut {ut}  cand {candidates}  stein {stein}/{total}\n"
+    if kind is CountKind.LOWER_BOUND:
+        return f"{r}  {geometry}  lower-bound {total}  ut -  cand -  stein -\n"
+    return f"{r}  {geometry}  infinite  ut -  cand -  stein -\n"
 
 
 def run(argv: list[str], out=None) -> int:

@@ -86,8 +86,22 @@ def from_rational(x: Fraction | int) -> Slope:
     return Slope(f.numerator, f.denominator)
 
 
+# `Fraction` builds 10**|exponent| for a decimal exponent, in time that grows
+# faster than the exponent; a number written out in digits costs its length.
+EXPONENT_LIMIT = 100_000
+
+
+def read_rational(text: str) -> Fraction:
+    """`Fraction(text)`, refusing a decimal exponent beyond ±EXPONENT_LIMIT before 10**exponent is built."""
+    _, e, exponent = text.lower().rpartition("e")
+    digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if e and digits.isdecimal() and (len(digits) > len(str(EXPONENT_LIMIT)) or int(digits) > EXPONENT_LIMIT):
+        raise ValueError(f"{text!r} has a decimal exponent beyond ±{EXPONENT_LIMIT}")
+    return Fraction(text)
+
+
 def parse_slope(text: str) -> Slope:
-    """Parse ``p/q``, ``inf``, or a number `Fraction` reads (``n``, ``-4.5``, ``1e3``).
+    """Parse ``p/q``, ``inf``, or a number `read_rational` reads (``n``, ``-4.5``, ``1e3``).
 
     Inverse of str() on canonical slopes, but accepts unreduced input.
     """
@@ -97,7 +111,7 @@ def parse_slope(text: str) -> Slope:
     if "/" in text:
         num_part, den_part = text.split("/", 1)
         return reduce(int(num_part), int(den_part))
-    return from_rational(Fraction(text))
+    return from_rational(read_rational(text))
 
 
 def det(a: Slope, b: Slope) -> int:

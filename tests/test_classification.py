@@ -25,6 +25,7 @@ from f8tight.classification import (
     CountKind,
     Family,
     Geometry,
+    RowTallies,
     SteinTag,
     TightCount,
     UTTag,
@@ -35,11 +36,13 @@ from f8tight.classification import (
     geometry_of,
     in_classified_range,
     involution,
+    is_toroidal,
     result_as_json,
     row_tallies,
     stein_tag,
     structure_as_json,
     structure_families,
+    table_rows,
     tight_count,
 )
 from f8tight.slope import INFINITY, Slope, from_rational, reduce
@@ -560,9 +563,19 @@ def test_row_tallies_match_the_enumeration():
     ],
 )
 def test_row_tallies_expand_each_input_once(monkeypatch, r):
-    # Φ expands −1/t (t the representative of r mod 1 in (0, 1), nothing
-    # on integers) and Ψ expands r + 3, below −3 only; the Stein tally
-    # reuses Ψ.
+    # Φ and Ψ are read off one expansion of −1/t, t = r − ⌊r⌋, and integers
+    # expand nothing.  `tight_count` reads the same row.
+    calls = spy_on_expansions(monkeypatch)
+    expected = [] if r.denominator == 1 else [-1 / (r - math.floor(r))]
+    row_tallies(from_rational(r))
+    assert calls == expected
+    calls.clear()
+    tight_count(from_rational(r))
+    assert calls == expected
+
+
+def spy_on_expansions(monkeypatch) -> list[Fraction]:
+    """Record the argument of every `neg_cfrac` call, under each name it is called by."""
     original = cfrac.neg_cfrac
     calls = []
 
@@ -570,9 +583,39 @@ def test_row_tallies_expand_each_input_once(monkeypatch, r):
         calls.append(args[0])
         return original(*args, **kwargs)
 
-    for module in (cfrac, surgery_enum):
+    for module in (cfrac, surgery_enum, classification):
         monkeypatch.setattr(module, "neg_cfrac", counting)
-    row_tallies(from_rational(r))
-    t = r - math.ceil(r) + 1
-    allowed = {-1 / t, r + 3} if r < -3 else {-1 / t}
-    assert len(calls) <= 2 and len(set(calls)) == len(calls) and set(calls) <= allowed, calls
+    return calls
+
+
+def test_a_sweep_expands_each_fractional_part_once(monkeypatch):
+    calls = spy_on_expansions(monkeypatch)
+    rows = list(table_rows(Fraction(-3), Fraction(3), 12))
+    parts = {(r.num % r.den, r.den) for r, _ in rows if r.den != 1}
+    assert sorted(calls) == sorted(Fraction(-q, t) for t, q in parts)
+    assert len(rows) == 6 * 46 + 1 and len(parts) == 45  # six units of F_12 share their parts
+    monkeypatch.undo()
+    for r, (kind, total, *tags) in rows:
+        assert row_tallies(r) == RowTallies(TightCount(kind, total), *tags), r
+
+
+def tallies_from_phi_and_psi(r: Slope) -> RowTallies:
+    """The closed-form tallies computed from `phi` and `psi`, one expansion each."""
+    p, q = r.num, r.den
+    if is_toroidal(r):
+        return RowTallies(TightCount(CountKind.INFINITE))
+    phi_r, psi_r = phi(r), psi(r)
+    total = 2 * phi_r if p > 0 else phi_r + psi_r
+    if not in_classified_range(r):
+        return RowTallies(TightCount(CountKind.LOWER_BOUND, total))
+    if q == 1:
+        ut, candidates = (1, 0) if p < 0 else (2, 0)
+    else:
+        ut, candidates = (2, 0) if p < 0 else (0, 4)
+    return RowTallies(TightCount(CountKind.FINITE, total), ut, candidates, total if p >= -9 * q else psi_r)
+
+
+@given(st.fractions(min_value=-200, max_value=200, max_denominator=25))
+def test_row_tallies_match_phi_and_psi(f):
+    r = from_rational(f)
+    assert row_tallies(r) == tallies_from_phi_and_psi(r)

@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -358,17 +359,64 @@ def test_table_builds_no_certificates(monkeypatch):
 
 def test_table_rows_build_few_fractions(fractions_built):
     # A row reads its coefficient as an integer pair; the only Fractions
-    # are the inputs of Φ's and Ψ's expansions.
+    # are the inputs of expansions, one per fractional part of the sweep.
     coefficients = coefficients_between(Fraction(-30), Fraction(30), 8)
     for r in coefficients:
         _, built = fractions_built(lambda: (row_tallies(r), geometry_of(r), str(r)))
-        assert built <= 3, r
+        assert built <= (r.den != 1), r
     (code, text), built = fractions_built(run_cli, "table", "--from", "-30", "--to", "30", "--denominator", "8")
     assert code == 0
-    rows = len(text.splitlines())
-    assert rows == len(coefficients)
+    assert len(text.splitlines()) == len(coefficients)
+    parts = {(r.num % r.den, r.den) for r in coefficients if r.den != 1}
     # --from and --to are read as two Fractions
-    assert built - 2 <= 3 * rows
+    assert built <= 2 + len(parts)
+
+
+def table_oracle(start: str, stop: str, n: int) -> str:
+    """The table as formatted one row at a time off `row_tallies` and `geometry_of`."""
+    lines = []
+    for r in coefficients_between(Fraction(start), Fraction(stop), n):
+        tallies = row_tallies(r)
+        count = tallies.count
+        row = [str(r), geometry_of(r).value]
+        if count.kind is CountKind.INFINITE:
+            row += ["infinite", "ut -", "cand -", "stein -"]
+        elif count.kind is CountKind.LOWER_BOUND:
+            row += [f"lower-bound {count.value}", "ut -", "cand -", "stein -"]
+        else:
+            row += [
+                f"finite {count.value}",
+                f"ut {tallies.universally_tight}",
+                f"cand {tallies.candidate_pair}",
+                f"stein {tallies.stein}/{count.value}",
+            ]
+        lines.append("  ".join(row) + "\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("start, stop, n", [("-30", "30", 1), ("-30", "30", 8), ("-37/3", "29/5", 13), ("-7", "-2", 25)])
+def test_table_matches_rows_formatted_one_by_one(start, stop, n):
+    assert run_cli("table", "--from", start, "--to", stop, "--denominator", str(n)) == (0, table_oracle(start, stop, n))
+
+
+class RecordingSink:
+    def __init__(self) -> None:
+        self.writes: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return len(text)
+
+
+def test_table_writes_its_first_row_alone():
+    argv = ["table", "--from", "-30", "--to", "30", "--denominator", "20"]
+    sink = RecordingSink()
+    assert run(argv, out=sink) == 0
+    first, *rest = sink.writes
+    assert first.endswith("\n") and first.count("\n") == 1
+    rows = len(coefficients_between(Fraction(-30), Fraction(30), 20))
+    assert [w.count("\n") for w in rest] == [cli.ENUMERATE_CHUNK, rows - 1 - cli.ENUMERATE_CHUNK]
+    assert "".join(sink.writes) == run_cli(*argv)[1]
 
 
 def test_table_row_with_a_huge_count():
@@ -423,10 +471,23 @@ def test_consecutive_runs_match_fresh_runs(capsys):
             "-1  SmallSeifert  finite 1  ut 1  cand 0  stein 1/1\n",
         ),
         (("count", "-4.5"), "finite 4\n"),
+        (("count", "1e3"), "finite 2\n"),
     ],
 )
 def test_negative_decimals_are_values(argv, expected):
     assert run_cli(*argv) == (0, expected)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("count", "1e3000000"), ("count", "1e999999999"), ("phi", "1e-999999999"), ("table", "--from", "0", "--to", "1e3000000")],
+)
+def test_a_huge_exponent_is_an_unreadable_argument(capsys, argv):
+    # Refused before 10**exponent is built, like any argument that does not parse.
+    started = time.perf_counter()
+    assert run_cli(*argv) == (2, "")
+    assert time.perf_counter() - started < 1
+    assert f"value: '{argv[-1]}'" in capsys.readouterr().err
 
 
 def test_main_reads_and_prints_numbers_past_the_digit_limit():

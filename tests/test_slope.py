@@ -15,6 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from f8tight.slope import (
+    EXPONENT_LIMIT,
     INFINITY,
     ZERO,
     Slope,
@@ -63,6 +64,22 @@ def test_constructor_rejects_non_canonical_pairs():
 )
 def test_parse_slope(text, expected):
     assert parse_slope(text) == expected
+
+
+@pytest.mark.parametrize("text", ["1e3000000", "1e999999999", "-1e-999999999", "2.5E+0100001", "1e1_000_000"])
+def test_parse_slope_refuses_a_huge_exponent_before_building_it(fractions_built, text):
+    # Fraction would build 10**exponent: 0.9 s for 1e3000000, 415 MB for 1e999999999.
+    refusal, built = fractions_built(pytest.raises, ValueError, parse_slope, text)
+    assert str(refusal.value) == f"{text!r} has a decimal exponent beyond ±{EXPONENT_LIMIT}"
+    assert built == 0
+
+
+def test_exponents_up_to_the_limit_read_as_before():
+    assert parse_slope(f"1e{EXPONENT_LIMIT}") == Slope(10**EXPONENT_LIMIT, 1)
+    assert parse_slope(f"-3e-{EXPONENT_LIMIT}") == Slope(-3, 10**EXPONENT_LIMIT)
+    assert parse_slope("1e003") == parse_slope("1E+3") == Slope(1000, 1)
+    with pytest.raises(ValueError, match="beyond"):
+        parse_slope(f"1e{EXPONENT_LIMIT + 1}")
 
 
 def test_parse_slope_rejects_garbage():
