@@ -13,49 +13,34 @@ e.g. how the finite counts scale as the denominator bound increases.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import sys
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from f8tight import CountKind, geometry_of  # noqa: E402
 from f8tight.classification import table_rows  # noqa: E402
+from f8tight.cli import ValueParser, lift_digit_limit, rational  # noqa: E402
 
 
-@dataclass(frozen=True)
-class SurveyConfig:
-    start: Fraction
-    stop: Fraction
-    max_denominator: int
-    csv_path: Path | None
-
-
-def parse_args(argv: list[str]) -> SurveyConfig:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--from", dest="start", type=Fraction, required=True)
-    parser.add_argument("--to", dest="stop", type=Fraction, required=True)
+def main(argv: list[str] | None = None) -> int:
+    parser = ValueParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--from", dest="start", type=rational, required=True)
+    parser.add_argument("--to", dest="stop", type=rational, required=True)
     parser.add_argument("--denominator", type=int, default=1)
     parser.add_argument("--csv", type=Path, default=None, help="also write one row per coefficient")
     args = parser.parse_args(argv)
     if args.denominator < 1:
         parser.error("denominator bound must be positive")
-    return SurveyConfig(args.start, args.stop, args.denominator, args.csv)
-
-
-def main(argv: list[str] | None = None) -> int:
-    config = parse_args(sys.argv[1:] if argv is None else argv)
     geometries: Counter[str] = Counter()
     kinds: Counter[str] = Counter()
     finite_counts: Counter[int] = Counter()
     tag_totals = Counter(ut_yes=0, ut_candidate=0, stein_yes=0, certificates=0)
     rows = []
 
-    for r, (kind, total, ut, candidates, stein) in table_rows(config.start, config.stop, config.max_denominator):
+    for r, (kind, total, ut, candidates, stein) in table_rows(args.start, args.stop, args.denominator):
         geometry = geometry_of(r).value
         geometries[geometry] += 1
         kinds[kind.value] += 1
@@ -78,7 +63,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     print(f"coefficients surveyed: {len(rows)}")
-    print(f"window: [{config.start}, {config.stop}], denominators <= {config.max_denominator}")
+    print(f"window: [{args.start}, {args.stop}], denominators <= {args.denominator}")
     print()
     print("geometry:", dict(sorted(geometries.items())))
     print("verdict kinds:", dict(sorted(kinds.items())))
@@ -94,14 +79,15 @@ def main(argv: list[str] | None = None) -> int:
             f"ut-candidate {tag_totals['ut_candidate']}  stein-yes {tag_totals['stein_yes']}"
         )
 
-    if config.csv_path is not None:
-        with config.csv_path.open("w", newline="") as handle:
+    if args.csv is not None:
+        with args.csv.open("w", newline="") as handle:
             writer = csv.DictWriter(handle, fieldnames=["coefficient", "geometry", "kind", "count"])
             writer.writeheader()
             writer.writerows(rows)
-        print(f"wrote {len(rows)} rows to {config.csv_path}")
+        print(f"wrote {len(rows)} rows to {args.csv}")
     return 0
 
 
 if __name__ == "__main__":
+    lift_digit_limit()
     sys.exit(main())

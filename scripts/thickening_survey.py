@@ -16,7 +16,6 @@ import argparse
 import random
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,16 +26,7 @@ from f8tight.classification import in_classified_range  # noqa: E402
 from f8tight.slope import ZERO, from_rational  # noqa: E402
 
 
-@dataclass(frozen=True)
-class SurveyConfig:
-    samples: int
-    bound: int
-    max_numerator: int
-    max_denominator: int
-    seed: int
-
-
-def parse_args(argv: list[str]) -> SurveyConfig:
+def parse_args(argv: list[str] | None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--samples", type=int, default=100)
     parser.add_argument("--bound", type=int, default=10, help="window denominator bound")
@@ -46,16 +36,16 @@ def parse_args(argv: list[str]) -> SurveyConfig:
     args = parser.parse_args(argv)
     if args.samples < 1 or args.bound < 1:
         parser.error("samples and bound must be positive")
-    return SurveyConfig(args.samples, args.bound, args.max_numerator, args.max_denominator, args.seed)
+    return args
 
 
-def sample_coefficients(config: SurveyConfig) -> list[Fraction]:
-    rng = random.Random(config.seed)
+def sample_coefficients(args: argparse.Namespace) -> list[Fraction]:
+    rng = random.Random(args.seed)
     out: list[Fraction] = []
-    while len(out) < config.samples:
+    while len(out) < args.samples:
         f = Fraction(
-            rng.randint(-config.max_numerator, config.max_numerator),
-            rng.randint(1, config.max_denominator),
+            rng.randint(-args.max_numerator, args.max_numerator),
+            rng.randint(1, args.max_denominator),
         )
         if in_classified_range(f):
             out.append(f)
@@ -63,15 +53,15 @@ def sample_coefficients(config: SurveyConfig) -> list[Fraction]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    config = parse_args(sys.argv[1:] if argv is None else argv)
+    args = parse_args(argv)
     endpoints: Counter[str] = Counter()
     lengths: Counter[int] = Counter()
     slack = []
     window_sizes = []
 
-    for f in sample_coefficients(config):
+    for f in sample_coefficients(args):
         r = from_rational(f)
-        window = slopes_in_window(SlopeWindow(r, config.bound))
+        window = slopes_in_window(SlopeWindow(r, args.bound))
         window_sizes.append(len(window))
         for s in window:
             # the meridional start is routed through its stabilized stand-in
@@ -87,7 +77,7 @@ def main(argv: list[str] | None = None) -> int:
     if total == 0:
         print("no window slopes found; widen the bound", file=sys.stderr)
         return 2
-    print(f"paths run: {total} from {config.samples} coefficients")
+    print(f"paths run: {total} from {args.samples} coefficients")
     print(f"window sizes: min {min(window_sizes)} mean {sum(window_sizes) / len(window_sizes):.1f} max {max(window_sizes)}")
     print("endpoints:", dict(sorted(endpoints.items())))
     longest = max(lengths)

@@ -352,21 +352,29 @@ def stein_tag(family: Family, r: Fraction | int | Slope) -> SteinTag:
 class Structures(Sequence):
     """The tight structures on M(r), listed lazily off their stabilization lattices.
 
-    `len` reads the family sizes off the budget blocks alone; slots are
-    spelled out only when structures are asked for, and no certificate
-    is built until then.  The listing goes family by family (as
-    `structure_families`), block by block (`blocks`), and within a block
-    in `itertools.product` order, the last slot fastest: mixed radix
-    (Knuth, TAOCP 4A §7.2.1.1, Algorithm M), so `[i]` reads i's digits.
+    `size` (and `len`, which refuses one past sys.maxsize) reads the
+    family sizes off the budget blocks alone; slots are spelled out only
+    when structures are asked for, and no certificate is built until
+    then.  The listing goes family by family (as `structure_families`),
+    block by block (`blocks`), and within a block in `itertools.product`
+    order, the last slot fastest: mixed radix (Knuth, TAOCP 4A
+    §7.2.1.1, Algorithm M), so `[i]` reads i's digits.
     """
 
     def __init__(self, r: Slope) -> None:
         self.coefficient = r
         self.families = structure_families(r)
-        self._size = sum(family_size(family, budgets) for family, budgets, _ in self.families)
+        self.size = sum(family_size(family, budgets) for family, budgets, _ in self.families)
 
     def __len__(self) -> int:
-        return self._size
+        return self.size
+
+    def evaluation_count(self) -> int:
+        """How many evaluations the listing holds in all, read off the budget blocks: size × slots per family."""
+        return sum(
+            family_size(family, budgets) * (sum(run for _, run in budgets) + (family is Family.POSITIVE_R))
+            for family, budgets, _ in self.families
+        )
 
     def blocks(self) -> Iterator[tuple[Family, int, SteinTag, list[range], UTTag]]:
         """The listing in blocks of (family, scale, stein, slots, corner).
@@ -400,10 +408,10 @@ class Structures(Sequence):
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return [self[k] for k in range(*i.indices(self._size))]
-        if not -self._size <= i < self._size:
+            return [self[k] for k in range(*i.indices(self.size))]
+        if not -self.size <= i < self.size:
             raise IndexError("structure index out of range")
-        k = i % self._size
+        k = i % self.size
         for family, scale, stein, slots, corner in self.blocks():
             size = math.prod(map(len, slots))
             if k < size:

@@ -28,7 +28,7 @@ from .classification import (
     table_rows,
     tight_count,
 )
-from .slope import Slope, parse_slope, read_rational
+from .slope import ExponentError, Slope, parse_slope, read_rational
 from .surgery_enum import smooth_framing_check
 from .tight_counts import solid_torus_count, solid_torus_spec
 from .torus_dynamics import (
@@ -41,10 +41,15 @@ from .torus_dynamics import (
 )
 
 # `enumerate` streams its lines, so this bounds the number of structures
-# (lines) it prints, not its memory.  It does not bound their length: a
-# line holds one evaluation per chain component, and the components grow
-# with the digits of the expansions (see ROADMAP.md, "Known gaps").
+# (lines) it prints, not its memory.
 ENUMERATE_LIMIT = 1_000_000
+
+# A line holds one evaluation per chain component, and a run of zero
+# budgets adds components but no structures, so the evaluations in all
+# are bounded too.  A family of at most ENUMERATE_LIMIT structures and no
+# zero budget has at most 19 slots (each doubles its size at least), so
+# this refuses only listings that zero budgets lengthen.
+ENUMERATE_EVALUATIONS = 20_000_000
 
 # Most lines (or JSON structure objects) in one write of `enumerate`; a
 # line may be of any length, as above.
@@ -57,18 +62,43 @@ COUNT_WORDS = {
 }
 
 
+class ValueParser(argparse.ArgumentParser):
+    """Reads -3/2, -4.5, -.5, -1e3 and -inf as values, where argparse takes only plain negative decimals.
+
+    No option name starts with a digit, a dot or "inf".  Subparsers are of
+    the parser's own class, so they read values alike.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d|\.|inf)")
+
+
 # argparse names a value it cannot read by its type's __name__
 # ("invalid slope value: 'abc'"), so the two argument types are named for
-# the kind of value they read.
+# the kind of value they read.  A decimal exponent beyond the library's
+# bound is refused with that bound named.
 def rational(text: str) -> Fraction:
-    try:
-        return read_rational(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(str(exc)) from exc
+    return _read(read_rational, "rational", text)
 
 
 def slope(text: str) -> Slope:
-    return parse_slope(text)
+    return _read(parse_slope, "slope", text)
+
+
+def _read(read, kind: str, text: str):
+    try:
+        return read(text)
+    except ExponentError as exc:
+        raise argparse.ArgumentTypeError(f"invalid {kind} value: {exc}") from None
+    except ZeroDivisionError:  # Fraction("1/0")
+        raise ValueError(text) from None
+
+
+def lift_digit_limit() -> None:
+    """Let a process read and print numbers past the 4,300 digits CPython converts by default; `run` does not."""
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
 
 
 def _show(compute):
@@ -85,7 +115,7 @@ def _show(compute):
 # times as much as a parse.
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = ValueParser(
         prog="f8tight",
         description="Count and enumerate tight contact structures on surgeries on the figure-eight knot.",
     )
@@ -145,13 +175,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--denominator", type=int, default=1)
     p.set_defaults(func=_cmd_table)
 
-    # Arguments like -3/2, -4.5, -.5, -1e3 or -inf must parse as values, not
-    # option flags; argparse only special-cases plain negative decimals by
-    # default.  No option name starts with a digit, a dot or "inf".
-    value_matcher = re.compile(r"^-(\d|\.|inf)")
-    parser._negative_number_matcher = value_matcher
-    for child in sub.choices.values():
-        child._negative_number_matcher = value_matcher
     return parser
 
 
@@ -165,15 +188,21 @@ def _format_count(r: Slope) -> str:
 def _cmd_enumerate(args: argparse.Namespace, out) -> int:
     """Print every structure straight off the blocks of its stabilization lattice.
 
-    The count and the size guard read the chain expansions alone; budgets
-    are spelled out only below the limit.  The output is byte for byte
+    The count and the size guards read the budget blocks alone; slots
+    are spelled out only below the limits.  The output is byte for byte
     what formatting `classify(r)` and `result_as_json` gives.
     """
     r = args.r
     structures = enumerate_structures(r)
-    count = len(structures)
+    count = structures.size
     if count > ENUMERATE_LIMIT:
         raise ValueError(f"coefficient {r} has {count} tight structures; enumerate lists at most {ENUMERATE_LIMIT}")
+    # Their number may have more digits than `str` converts under `run`, so the message leaves it out.
+    if structures.evaluation_count() > ENUMERATE_EVALUATIONS:
+        raise ValueError(
+            f"the {count} tight structures hold more than {ENUMERATE_EVALUATIONS} evaluations in all; "
+            f"enumerate writes at most {ENUMERATE_EVALUATIONS}"
+        )
     geometry = geometry_of(r).value
     if args.as_json:
         count_json = f'{{"kind": "finite", "value": {count}}}'
@@ -275,10 +304,7 @@ def run(argv: list[str], out=None) -> int:
 
 
 def main() -> None:
-    # A coefficient may have more digits than CPython converts between int
-    # and str by default (4,300); the command line reads and prints them all.
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
+    lift_digit_limit()
     try:
         status = run(sys.argv[1:])
         sys.stdout.flush()

@@ -91,12 +91,16 @@ def from_rational(x: Fraction | int) -> Slope:
 EXPONENT_LIMIT = 100_000
 
 
+class ExponentError(ValueError):
+    """A decimal exponent beyond ±EXPONENT_LIMIT; the message names the text and the bound."""
+
+
 def read_rational(text: str) -> Fraction:
     """`Fraction(text)`, refusing a decimal exponent beyond ±EXPONENT_LIMIT before 10**exponent is built."""
     _, e, exponent = text.lower().rpartition("e")
     digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
     if e and digits.isdecimal() and (len(digits) > len(str(EXPONENT_LIMIT)) or int(digits) > EXPONENT_LIMIT):
-        raise ValueError(f"{text!r} has a decimal exponent beyond ±{EXPONENT_LIMIT}")
+        raise ExponentError(f"{text!r} has a decimal exponent beyond ±{EXPONENT_LIMIT}")
     return Fraction(text)
 
 

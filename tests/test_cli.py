@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from f8tight.classification import (
     CountKind,
     classify,
     coefficients_between,
+    enumerate_structures,
     geometry_of,
     result_as_json,
     row_tallies,
@@ -240,6 +242,60 @@ def test_enumerate_refuses_counts_above_the_limit(capsys, monkeypatch):
     assert code == 0
     assert text.splitlines()[2] == "count finite 4"
     assert len(text.splitlines()) == 3 + 4
+
+
+def test_enumerate_refuses_evaluations_above_the_limit(capsys, monkeypatch):
+    # -9/2 lists 2 + 2 structures of 2 and 1 evaluations: 6 in all.
+    monkeypatch.setattr(cli, "ENUMERATE_EVALUATIONS", 5)
+    assert run_cli("enumerate", "-9/2") == (3, "")
+    assert capsys.readouterr().err == (
+        "domain error: the 4 tight structures hold more than 5 evaluations in all; enumerate writes at most 5\n"
+    )
+    monkeypatch.setattr(cli, "ENUMERATE_EVALUATIONS", 6)
+    code, text = run_cli("enumerate", "-9/2")
+    assert code == 0 and len(text.splitlines()) == 3 + 4
+
+
+def test_enumerate_writes_a_chain_of_a_million_components():
+    # 2 structures of 999,999 evaluations: one budget 1, then 999,998 zero budgets.
+    r = Slope(-1000001, 1000000)
+    assert enumerate_structures(r).evaluation_count() == 1_999_998 <= cli.ENUMERATE_EVALUATIONS
+    assert run_cli("enumerate", str(r)) == (0, enumerate_oracle(r, False))
+
+
+@pytest.mark.parametrize("coefficient", ["1e100000", "1000000000000", "-1000000000001/1000000000000"])
+def test_enumerate_refuses_long_lines_before_spelling_out_a_slot(capsys, coefficient):
+    # Two structures each, on a chain of about 10^100000 or 10^12 components
+    # (a run of zero budgets): refused off the budget blocks, and without
+    # printing a number of more digits than `str` converts by default.
+    tracemalloc.start()
+    try:
+        assert run_cli("enumerate", coefficient) == (3, "")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    assert capsys.readouterr().err == (
+        f"domain error: the 2 tight structures hold more than {cli.ENUMERATE_EVALUATIONS} evaluations in all; "
+        f"enumerate writes at most {cli.ENUMERATE_EVALUATIONS}\n"
+    )
+
+
+def test_main_refuses_a_chain_too_long_to_write():
+    proc = subprocess.run(
+        [sys.executable, "-m", "f8tight", "enumerate", "1e100000"], capture_output=True, text=True, env=src_env()
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("domain error: the 2 tight structures hold more than ")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_enumerate_refuses_a_count_past_the_index_size(capsys):
+    # 10^30 − 2 structures: more than `len` answers.
+    assert run_cli("enumerate", "-1e30") == (3, "")
+    assert capsys.readouterr().err == (
+        f"domain error: coefficient -{10**30} has {10**30 - 2} tight structures; enumerate lists at most 1000000\n"
+    )
 
 
 def test_enumerate_matches_the_certificate_oracle():
@@ -483,11 +539,11 @@ def test_negative_decimals_are_values(argv, expected):
     [("count", "1e3000000"), ("count", "1e999999999"), ("phi", "1e-999999999"), ("table", "--from", "0", "--to", "1e3000000")],
 )
 def test_a_huge_exponent_is_an_unreadable_argument(capsys, argv):
-    # Refused before 10**exponent is built, like any argument that does not parse.
+    # Refused before 10**exponent is built, like any argument that does not parse, and the bound is named.
     started = time.perf_counter()
     assert run_cli(*argv) == (2, "")
     assert time.perf_counter() - started < 1
-    assert f"value: '{argv[-1]}'" in capsys.readouterr().err
+    assert capsys.readouterr().err.endswith(f" value: '{argv[-1]}' has a decimal exponent beyond ±100000\n")
 
 
 def test_main_reads_and_prints_numbers_past_the_digit_limit():
@@ -515,6 +571,21 @@ def test_usage_errors(capsys):
 def test_usage_errors_name_the_kind_of_value(capsys, argv, kind):
     assert run_cli(*argv) == (2, "")
     assert capsys.readouterr().err.endswith(f"error: argument r: invalid {kind} value: 'abc'\n")
+
+
+@pytest.mark.parametrize(
+    "command, kind, text",
+    [("phi", "rational", "1/0")]
+    + [
+        (command, kind, text)
+        for command, kind in [("count", "slope"), ("phi", "rational")]
+        for text in ["abc", "0/0", "3/0x", "1e5x", "1" * 5000, "1/" + "7" * 5000]
+    ],
+)
+def test_an_unreadable_argument_is_named_in_the_command_line_words(capsys, command, kind, text):
+    # No text of CPython's ("invalid literal for int()", "Exceeds the limit") reaches the user.
+    assert run_cli(command, text) == (2, "")
+    assert capsys.readouterr().err.endswith(f"error: argument r: invalid {kind} value: {text!r}\n")
 
 
 def test_main_subprocess_roundtrip():

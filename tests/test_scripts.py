@@ -10,8 +10,12 @@ import contextlib
 import importlib.util
 import io
 import re
+import subprocess
 import sys
+import time
 from pathlib import Path
+
+import pytest
 
 import f8tight
 from f8tight import SlopeWindow, slopes_in_window
@@ -31,32 +35,72 @@ PUBLIC_NAMES = """
 def load_script(monkeypatch, name: str):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look their module up
     monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
     spec.loader.exec_module(module)
     return module
 
 
 def test_survey_totals_match_the_table(monkeypatch):
-    window = ["--from", "-11", "--to", "7", "--denominator", "3"]
-    table = io.StringIO()
-    assert run(["table", *window], out=table) == 0
-    rows = table.getvalue().splitlines()
-    ut = cand = stein = certificates = 0
-    for row in rows:
-        found = re.search(r"ut (\d+)  cand (\d+)  stein (\d+)/(\d+)$", row)
-        if found:
-            ut, cand, stein, certificates = (
-                total + int(value) for total, value in zip((ut, cand, stein, certificates), found.groups())
-            )
+    survey = load_script(monkeypatch, "survey_counts")
+    # Windows over both signs, read as `table` reads them: fractions, decimals and exponents below zero.
+    for window, has_candidates in [
+        (["--from", "-11", "--to", "7", "--denominator", "3"], True),
+        (["--from", "-7/2", "--to", "5/3", "--denominator", "5"], True),
+        (["--from", "-3/2", "--to", "2", "--denominator", "2"], True),
+        (["--from", "-4.5", "--to", "-1"], False),
+        (["--from", "-1e1", "--to", "-.5", "--denominator", "4"], False),
+    ]:
+        table = io.StringIO()
+        assert run(["table", *window], out=table) == 0
+        rows = table.getvalue().splitlines()
+        ut = cand = stein = certificates = 0
+        for row in rows:
+            found = re.search(r"ut (\d+)  cand (\d+)  stein (\d+)/(\d+)$", row)
+            if found:
+                ut, cand, stein, certificates = (
+                    total + int(value) for total, value in zip((ut, cand, stein, certificates), found.groups())
+                )
 
-    survey = io.StringIO()
-    with contextlib.redirect_stdout(survey):
-        assert load_script(monkeypatch, "survey_counts").main(window) == 0
-    report = survey.getvalue()
-    assert f"coefficients surveyed: {len(rows)}\n" in report
-    assert f"certificates: {certificates}  ut-yes {ut}  ut-candidate {cand}  stein-yes {stein}\n" in report
-    assert certificates > 0 and ut > 0 and cand > 0
+        report = io.StringIO()
+        with contextlib.redirect_stdout(report):
+            assert survey.main(window) == 0
+        report = report.getvalue()
+        assert f"coefficients surveyed: {len(rows)}\n" in report, window
+        assert f"certificates: {certificates}  ut-yes {ut}  ut-candidate {cand}  stein-yes {stein}\n" in report, window
+        assert certificates > 0 and ut > 0 and (cand > 0) == has_candidates, window
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["--from", "1e3000000", "--to", "2"],
+            "argument --from: invalid rational value: '1e3000000' has a decimal exponent beyond ±100000",
+        ),
+        (["--from", "0", "--to", "abc"], "argument --to: invalid rational value: 'abc'"),
+        (["--from", "1/0", "--to", "2"], "argument --from: invalid rational value: '1/0'"),
+        (["--from", "-inf", "--to", "2"], "argument --from: invalid rational value: '-inf'"),
+    ],
+)
+def test_survey_refuses_what_table_refuses(monkeypatch, capsys, argv, message):
+    survey = load_script(monkeypatch, "survey_counts")
+    started = time.perf_counter()
+    with pytest.raises(SystemExit) as exit_:
+        survey.main(argv)
+    assert exit_.value.code == 2 and time.perf_counter() - started < 1
+    assert capsys.readouterr().err.endswith(f": error: {message}\n")  # argparse names the program after sys.argv[0]
+    assert run(["table", *argv]) == 2
+    assert capsys.readouterr().err.endswith(f"f8tight table: error: {message}\n")
+
+
+def test_survey_reads_and_prints_numbers_past_the_digit_limit(tmp_path):
+    # The script lifts CPython's 4,300-digit limit as `f8tight` does.
+    csv_path, big = tmp_path / "rows.csv", "1" + "0" * 5000
+    argv = ["--from", "1e5000", "--to", "1e5000", "--csv", str(csv_path)]
+    done = subprocess.run([sys.executable, str(SCRIPTS / "survey_counts.py"), *argv], capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith(f"coefficients surveyed: 1\nwindow: [{big}, {big}], denominators <= 1\n")
+    assert csv_path.read_text().splitlines()[1] == f"{big},Hyperbolic,finite,2"
 
 
 def test_thickening_survey_accounts_for_every_path(monkeypatch):
