@@ -8,7 +8,6 @@ from .classification import (
     coefficients_between,
     enumerate_structures,
     geometry_of,
-    row_tallies,
     tight_count,
 )
 from .slope import Slope, parse_slope
@@ -39,7 +38,6 @@ __all__ = [
     "parse_slope",
     "phi",
     "psi",
-    "row_tallies",
     "slopes_in_window",
     "smooth_framing_check",
     "solid_torus_count",

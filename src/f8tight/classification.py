@@ -57,8 +57,19 @@ class UTTag(Enum):
 
 @dataclass(frozen=True)
 class TightCount:
+    """How many tight structures M(r) supports and, where that is exact, how they are tagged.
+
+    On the classified range `universally_tight`, `candidate_pair` and
+    `stein` are the numbers of structures `enumerate_structures` tags
+    UTTag.YES, UTTag.CANDIDATE_PAIR and SteinTag.YES; elsewhere they are
+    None.
+    """
+
     kind: CountKind
     value: int | None = None
+    universally_tight: int | None = None
+    candidate_pair: int | None = None
+    stein: int | None = None
 
     def __post_init__(self) -> None:
         if self.kind is CountKind.INFINITE:
@@ -97,19 +108,20 @@ class ClassificationResult:
     verdict: Geometry
     count: TightCount
     # The lazy `Structures` where the count is exact, else (); fixed by the coefficient, so not compared.
-    structures: Sequence[ContactStructureCert] = field(compare=False)
+    structures: Structures | tuple[()] = field(compare=False)
 
     def __post_init__(self) -> None:
-        r = self.coefficient
+        r, kind = self.coefficient, self.count.kind
         finite_coefficient(r)
-        if self.count.kind is CountKind.INFINITE and not is_toroidal(r):
-            raise ValueError("only 0 and ±4 have infinitely many tight structures")
-        if self.count.kind is CountKind.LOWER_BOUND and (in_classified_range(r) or is_toroidal(r)):
-            raise ValueError("lower bounds only occur off the classified range")
-        if self.count.kind is CountKind.FINITE and self.count.value != len(self.structures):
-            raise ValueError("finite count must equal the number of certificates")
-        if self.count.kind is not CountKind.FINITE and self.structures:
+        if kind is CountKind.FINITE:
+            if self.count.value != getattr(self.structures, "size", None):
+                raise ValueError("finite count must equal the number of certificates")
+        elif self.structures:
             raise ValueError("certificates are only attached to finite counts")
+        elif kind is CountKind.INFINITE and not is_toroidal(r):
+            raise ValueError("only 0 and ±4 have infinitely many tight structures")
+        elif kind is CountKind.LOWER_BOUND and (in_classified_range(r) or is_toroidal(r)):
+            raise ValueError("lower bounds only occur off the classified range")
 
 
 def in_classified_range(r: Fraction | int | Slope) -> bool:
@@ -190,79 +202,52 @@ def geometry_of(r: Slope) -> Geometry:
 
 
 def tight_count(r: Slope) -> TightCount:
-    """How many tight structures M(r) supports.
+    """How many tight structures M(r) supports, and how they are tagged, in closed form.
 
     Exact on the classified range (2Φ for positive r, Φ + Ψ for negative),
     infinite at the toroidal coefficients, and otherwise a lower bound
-    from the same formulas.
-    """
-    return row_tallies(r).count
-
-
-@dataclass(frozen=True)
-class RowTallies:
-    """The count of M(r) and, where it is exact, how its structures are tagged.
-
-    On the classified range `universally_tight`, `candidate_pair` and
-    `stein` are the numbers of structures `enumerate_structures` tags
-    UTTag.YES, UTTag.CANDIDATE_PAIR and SteinTag.YES; elsewhere they are
-    None.
-    """
-
-    count: TightCount
-    universally_tight: int | None = None
-    candidate_pair: int | None = None
-    stein: int | None = None
-
-
-Tally = tuple[CountKind, int | None, int | None, int | None, int | None]
-
-
-def row_tallies(r: Slope) -> RowTallies:
-    """The count and tag tallies of M(r) in closed form, without certificates.
-
-    Φ(r) and Ψ(r) are read off one expansion (`_unit_factors`).
+    from the same formulas.  Φ(r) and Ψ(r) are read off one expansion
+    (`_factors`); no certificate is built.
     """
     finite_coefficient(r)  # refuses ∞ with the domain error
-    kind, total, *tags = _tally(r, *_unit_factors(r))
-    return RowTallies(TightCount(kind, total), *tags)
+    return TightCount(*_tally(r, *_factors(r, {})))
 
 
-def table_rows(start: Fraction, stop: Fraction, max_denominator: int) -> Iterator[tuple[Slope, Tally]]:
-    """Each coefficient of `coefficients_between` with its tallies (count kind, total, ut, cand, stein).
+def table_rows(start: Fraction, stop: Fraction, max_denominator: int) -> Iterator[tuple[Slope, tuple]]:
+    """Each coefficient of `coefficients_between` with the fields of its `tight_count`, as a plain tuple.
 
-    The tallies are `row_tallies`' fields, with the count's kind and value
-    side by side.  Φ and Ψ/|⌊r⌋ + 3| depend on r mod 1 alone, so the sweep
-    expands each fractional part (p mod q)/q once and keeps its factors
-    until the sweep ends.
+    Each fractional part (p mod q)/q is expanded once per sweep (`_factors`).
     """
-    factors: dict[tuple[int, int], tuple[int, int]] = {}
+    units: dict[tuple[int, int], tuple[int, int]] = {}
     for r in _farey_terms(start, stop, max_denominator):
-        part = (r.num % r.den, r.den)
-        unit = factors.get(part)
-        if unit is None:
-            unit = factors[part] = _unit_factors(r)
-        yield r, _tally(r, *unit)
+        yield r, _tally(r, *_factors(r, units))
 
 
-def _unit_factors(r: Slope) -> tuple[int, int]:
-    """Φ(r) and Ψ(r)/|⌊r⌋ + 3|, off the one expansion Φ makes.
+def _factors(r: Slope, units: dict[tuple[int, int], tuple[int, int]]) -> tuple[int, int]:
+    """Φ(r) and Ψ(r), off the one expansion Φ makes.
 
     For non-integral r = p/q let −1/t = [d0, d1, …], t = (p mod q)/q, and
     R = Π_{i≥1} |di + 1|.  Then Φ(r) = |d0|·R, and below −3 r + 3 expands
     to [⌊r⌋ + 3, d0, d1, …], so Ψ(r) = |⌊r⌋ + 3|·|d0 + 1|·R.  The first
     digit d0 = ⌊−q/(p mod q)⌋ needs no expansion.  On integers Φ = 1 and
-    Ψ = |r + 3|.
+    Ψ = |r + 3|.  `units` keeps Φ and Ψ/|⌊r⌋ + 3| by fractional part
+    (p mod q, q), and an expansion is made only where it has none.
     """
     p, q = r.num, r.den
-    if q == 1:
-        return 1, 1
-    phi_r, d0 = phi(r), -q // (p % q)
-    return phi_r, phi_r // -d0 * abs(d0 + 1)
+    unit = units.get((p % q, q))
+    if unit is None:
+        if q == 1:
+            unit = 1, 1
+        else:
+            phi_r, d0 = phi(r), -q // (p % q)
+            unit = phi_r, phi_r // -d0 * abs(d0 + 1)
+        units[p % q, q] = unit
+    phi_r, psi_unit = unit
+    return phi_r, abs(p // q + 3) * psi_unit if p < -3 * q else 0
 
 
-def _tally(r: Slope, phi_r: int, psi_unit: int) -> Tally:
-    """The tallies of M(r) from r's integers p, q and the factors of `_unit_factors`.
+def _tally(r: Slope, phi_r: int, psi_r: int) -> tuple:
+    """The fields of `tight_count(r)` from r's integers p, q and Φ(r), Ψ(r) (0 for r ≥ −3).
 
     Only the extremal uniform-sign tuples of a chain are universally
     tight or candidates: two of them (all at +b or all at −b) when some
@@ -275,12 +260,11 @@ def _tally(r: Slope, phi_r: int, psi_unit: int) -> Tally:
     structures, is never universally tight and always Stein; the
     overtwisted-background one is Stein only for r ≥ −9.
     """
-    if is_toroidal(r):
-        return CountKind.INFINITE, None, None, None, None
     p, q = r.num, r.den
-    psi_r = abs(p // q + 3) * psi_unit if p < -3 * q else 0
     total = 2 * phi_r if p > 0 else phi_r + psi_r
     if not in_classified_range(r):
+        if is_toroidal(r):
+            return CountKind.INFINITE, None, None, None, None
         return CountKind.LOWER_BOUND, total, None, None, None
     if q == 1:
         ut, candidates = (1, 0) if p < 0 else (2, 0)
@@ -352,8 +336,9 @@ def stein_tag(family: Family, r: Fraction | int | Slope) -> SteinTag:
 class Structures(Sequence):
     """The tight structures on M(r), listed lazily off their stabilization lattices.
 
-    `size` (and `len`, which refuses one past sys.maxsize) reads the
-    family sizes off the budget blocks alone; slots are spelled out only
+    `sizes`, one per family, and their sum `size` (also `len`, which
+    refuses one past sys.maxsize) are read off the budget blocks alone,
+    and `classify` reads its count off them; slots are spelled out only
     when structures are asked for, and no certificate is built until
     then.  The listing goes family by family (as `structure_families`),
     block by block (`blocks`), and within a block in `itertools.product`
@@ -364,7 +349,8 @@ class Structures(Sequence):
     def __init__(self, r: Slope) -> None:
         self.coefficient = r
         self.families = structure_families(r)
-        self.size = sum(family_size(family, budgets) for family, budgets, _ in self.families)
+        self.sizes = [family_size(family, budgets) for family, budgets, _ in self.families]
+        self.size = sum(self.sizes)
 
     def __len__(self) -> int:
         return self.size
@@ -372,8 +358,8 @@ class Structures(Sequence):
     def evaluation_count(self) -> int:
         """How many evaluations the listing holds in all, read off the budget blocks: size × slots per family."""
         return sum(
-            family_size(family, budgets) * (sum(run for _, run in budgets) + (family is Family.POSITIVE_R))
-            for family, budgets, _ in self.families
+            size * (sum(run for _, run in budgets) + (family is Family.POSITIVE_R))
+            for (family, budgets, _), size in zip(self.families, self.sizes)
         )
 
     def blocks(self) -> Iterator[tuple[Family, int, SteinTag, list[range], UTTag]]:
@@ -447,14 +433,16 @@ def involution(cert: ContactStructureCert) -> ContactStructureCert:
 def classify(r: Slope) -> ClassificationResult:
     """Full verdict for M(r): geometry, count, and certificates if exact.
 
-    On the classified range the exact count is the length of the lazy
-    `enumerate_structures(r)`, handed out as is: no certificate is built
-    until one is read.  Elsewhere the count is `tight_count`.
+    On the classified range the lazy `enumerate_structures(r)` is handed
+    out as is, and the count is read off its family sizes: the last has
+    Φ(r) structures (2Φ(r) for positive r), the rest Ψ(r).  Elsewhere the
+    count is `tight_count`.
     """
     finite_coefficient(r)
     if in_classified_range(r):
-        structures = enumerate_structures(r)
-        count = TightCount(CountKind.FINITE, len(structures))
+        structures = Structures(r)
+        last = structures.sizes[-1]
+        count = TightCount(*_tally(r, last // 2 if r.num > 0 else last, structures.size - last))
     else:
         structures, count = (), tight_count(r)
     return ClassificationResult(r, geometry_of(r), count, structures)

@@ -21,7 +21,6 @@ from fractions import Fraction
 from .cfrac import Form, neg_cfrac, phi, psi
 from .classification import (
     CountKind,
-    Tally,
     UTTag,
     enumerate_structures,
     geometry_of,
@@ -95,10 +94,12 @@ def _read(read, kind: str, text: str):
         raise ValueError(text) from None
 
 
-def lift_digit_limit() -> None:
-    """Let a process read and print numbers past the 4,300 digits CPython converts by default; `run` does not."""
-    if hasattr(sys, "set_int_max_str_digits"):
+def lift_digit_limit() -> int:
+    """Let a process read and print numbers past CPython's default 4,300 digits; returns the old limit, 0 for none."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
         sys.set_int_max_str_digits(0)
+    return limit
 
 
 def _show(compute):
@@ -278,8 +279,8 @@ def _cmd_table(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _table_row(r: Slope, tally: Tally) -> str:
-    kind, total, ut, candidates, stein = tally
+def _table_row(r: Slope, count: tuple) -> str:
+    kind, total, ut, candidates, stein = count
     geometry = geometry_of(r).value
     if kind is CountKind.FINITE:
         return f"{r}  {geometry}  finite {total}  ut {ut}  cand {candidates}  stein {stein}/{total}\n"
@@ -289,18 +290,26 @@ def _table_row(r: Slope, tally: Tally) -> str:
 
 
 def run(argv: list[str], out=None) -> int:
-    """Execute one invocation; returns the exit status."""
+    """Execute one invocation; returns the exit status.
+
+    Arguments are read under the process's digit limit, so that a literal
+    too long to read is named as unreadable; the command runs without it.
+    """
     out = sys.stdout if out is None else out
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    limit = lift_digit_limit()
     try:
         return args.func(args, out)
     except (ValueError, RuntimeError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def main() -> None:

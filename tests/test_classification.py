@@ -25,7 +25,6 @@ from f8tight.classification import (
     CountKind,
     Family,
     Geometry,
-    RowTallies,
     SteinTag,
     TightCount,
     UTTag,
@@ -38,14 +37,13 @@ from f8tight.classification import (
     involution,
     is_toroidal,
     result_as_json,
-    row_tallies,
     stein_tag,
     structure_as_json,
     structure_families,
     table_rows,
     tight_count,
 )
-from f8tight.slope import INFINITY, Slope, from_rational, reduce
+from f8tight.slope import INFINITY, Slope, from_rational, parse_slope, reduce
 
 classified = st.fractions(min_value=-30, max_value=30, max_denominator=12).filter(
     in_classified_range
@@ -312,10 +310,19 @@ def test_classify_builds_no_certificates(monkeypatch):
 
     monkeypatch.setattr(classification, "ContactStructureCert", refuse)
     result = classify(Slope(-1440450, 758539))
-    assert result.count == TightCount(CountKind.FINITE, 459270)
+    assert (result.count.kind, result.count.value) == (CountKind.FINITE, 459270)
     assert len(result.structures) == 459270
     result = classify(reduce(-123456789012345, 987654321))
-    assert result.count == TightCount(CountKind.FINITE, 319314893760)
+    assert (result.count.kind, result.count.value) == (CountKind.FINITE, 319314893760)
+
+
+def test_classify_counts_past_the_index_size():
+    # 10^30 − 2 structures: `len` refuses past sys.maxsize, so the count
+    # is read off the family sizes.
+    result = classify(parse_slope("-1e30"))
+    assert (result.count.kind, result.count.value) == (CountKind.FINITE, 10**30 - 2)
+    assert result.count.value == result.structures.size
+    assert result.count == tight_count(parse_slope("-1e30"))
 
 
 @pytest.mark.parametrize(
@@ -420,11 +427,13 @@ def test_result_validation():
 
 @given(st.fractions(min_value=-30, max_value=30, max_denominator=12))
 def test_classify_is_internally_consistent(r):
+    # Whole records compare: kind, value and the three tag tallies.
     result = classify(from_rational(r))
     assert result.verdict is geometry_of(from_rational(r))
     assert result.count == tight_count(from_rational(r))
     if result.count.kind is CountKind.FINITE:
         assert len(result.structures) == result.count.value
+        assert None not in (result.count.universally_tight, result.count.candidate_pair, result.count.stein)
     else:
         assert result.structures == ()
 
@@ -461,23 +470,18 @@ def test_structure_json_uses_fraction_strings():
 
 @pytest.mark.parametrize(
     "r",
-    [Fraction(-68111, 6930), Fraction(-9, 2), Fraction(-5), Fraction(-13, 5), Fraction(7, 3), Fraction(3)],
+    [
+        Fraction(-68111, 6930), Fraction(-9, 2), Fraction(-5), Fraction(-13, 5), Fraction(7, 3), Fraction(3),
+        Fraction(-(10**30)),
+    ],
 )
 def test_classify_expands_each_chain_once(monkeypatch, r):
-    # On the classified range the count is the number of certificates, so
-    # only the chains are expanded: r + 3 for the standard-background
-    # family, −1/t (t the fractional part of r) for the overtwisted one,
-    # 1/(1 − r) for the positive one.  No input is expanded twice, however
-    # many certificates the chains produce.
-    original = cfrac.neg_cfrac
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return original(*args, **kwargs)
-
-    for module in (cfrac, surgery_enum, classification):
-        monkeypatch.setattr(module, "neg_cfrac", counting)
+    # On the classified range the count and its tallies are read off the
+    # family sizes, so only the chains are expanded: r + 3 for the
+    # standard-background family, −1/t (t the fractional part of r) for
+    # the overtwisted one, 1/(1 − r) for the positive one.  No input is
+    # expanded twice, however many certificates the chains produce.
+    calls = spy_on_expansions(monkeypatch)
     result = classify(from_rational(r))
     assert result.count.kind is CountKind.FINITE
     assert len(calls) <= 2 and len(set(calls)) == len(calls), calls
@@ -541,16 +545,15 @@ def enumerated_tallies(r: Slope) -> tuple[int, int, int, int]:
     return len(certs), tags.count(UTTag.YES), tags.count(UTTag.CANDIDATE_PAIR), stein
 
 
-def test_row_tallies_match_the_enumeration():
+def test_tight_count_tallies_match_the_enumeration():
     finite = 0
     for r in coefficients_between(Fraction(-30), Fraction(30), 8):
-        tallies = row_tallies(r)
-        assert tallies.count == tight_count(r)
-        if tallies.count.kind is not CountKind.FINITE:
-            assert (tallies.universally_tight, tallies.candidate_pair, tallies.stein) == (None, None, None), r
+        count = tight_count(r)
+        if count.kind is not CountKind.FINITE:
+            assert (count.universally_tight, count.candidate_pair, count.stein) == (None, None, None), r
             continue
         finite += 1
-        closed_form = (tallies.count.value, tallies.universally_tight, tallies.candidate_pair, tallies.stein)
+        closed_form = (count.value, count.universally_tight, count.candidate_pair, count.stein)
         assert closed_form == enumerated_tallies(r), r
     assert finite == 1255
 
@@ -564,13 +567,13 @@ def test_row_tallies_match_the_enumeration():
 )
 def test_row_tallies_expand_each_input_once(monkeypatch, r):
     # Φ and Ψ are read off one expansion of −1/t, t = r − ⌊r⌋, and integers
-    # expand nothing.  `tight_count` reads the same row.
+    # expand nothing, both for `tight_count` and for r's row of a table.
     calls = spy_on_expansions(monkeypatch)
     expected = [] if r.denominator == 1 else [-1 / (r - math.floor(r))]
-    row_tallies(from_rational(r))
+    tight_count(from_rational(r))
     assert calls == expected
     calls.clear()
-    tight_count(from_rational(r))
+    assert len(list(table_rows(r, r, r.denominator))) == 1
     assert calls == expected
 
 
@@ -595,27 +598,27 @@ def test_a_sweep_expands_each_fractional_part_once(monkeypatch):
     assert sorted(calls) == sorted(Fraction(-q, t) for t, q in parts)
     assert len(rows) == 6 * 46 + 1 and len(parts) == 45  # six units of F_12 share their parts
     monkeypatch.undo()
-    for r, (kind, total, *tags) in rows:
-        assert row_tallies(r) == RowTallies(TightCount(kind, total), *tags), r
+    for r, row in rows:
+        assert tight_count(r) == TightCount(*row), r
 
 
-def tallies_from_phi_and_psi(r: Slope) -> RowTallies:
-    """The closed-form tallies computed from `phi` and `psi`, one expansion each."""
+def tallies_from_phi_and_psi(r: Slope) -> TightCount:
+    """The closed-form count and tallies computed from `phi` and `psi`, one expansion each."""
     p, q = r.num, r.den
     if is_toroidal(r):
-        return RowTallies(TightCount(CountKind.INFINITE))
+        return TightCount(CountKind.INFINITE)
     phi_r, psi_r = phi(r), psi(r)
     total = 2 * phi_r if p > 0 else phi_r + psi_r
     if not in_classified_range(r):
-        return RowTallies(TightCount(CountKind.LOWER_BOUND, total))
+        return TightCount(CountKind.LOWER_BOUND, total)
     if q == 1:
         ut, candidates = (1, 0) if p < 0 else (2, 0)
     else:
         ut, candidates = (2, 0) if p < 0 else (0, 4)
-    return RowTallies(TightCount(CountKind.FINITE, total), ut, candidates, total if p >= -9 * q else psi_r)
+    return TightCount(CountKind.FINITE, total, ut, candidates, total if p >= -9 * q else psi_r)
 
 
 @given(st.fractions(min_value=-200, max_value=200, max_denominator=25))
-def test_row_tallies_match_phi_and_psi(f):
+def test_tight_count_matches_phi_and_psi(f):
     r = from_rational(f)
-    assert row_tallies(r) == tallies_from_phi_and_psi(r)
+    assert tight_count(r) == tallies_from_phi_and_psi(r)

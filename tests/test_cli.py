@@ -27,7 +27,6 @@ from f8tight.classification import (
     enumerate_structures,
     geometry_of,
     result_as_json,
-    row_tallies,
     tight_count,
 )
 from f8tight.slope import Slope
@@ -418,7 +417,7 @@ def test_table_rows_build_few_fractions(fractions_built):
     # are the inputs of expansions, one per fractional part of the sweep.
     coefficients = coefficients_between(Fraction(-30), Fraction(30), 8)
     for r in coefficients:
-        _, built = fractions_built(lambda: (row_tallies(r), geometry_of(r), str(r)))
+        _, built = fractions_built(lambda: (tight_count(r), geometry_of(r), str(r)))
         assert built <= (r.den != 1), r
     (code, text), built = fractions_built(run_cli, "table", "--from", "-30", "--to", "30", "--denominator", "8")
     assert code == 0
@@ -429,11 +428,10 @@ def test_table_rows_build_few_fractions(fractions_built):
 
 
 def table_oracle(start: str, stop: str, n: int) -> str:
-    """The table as formatted one row at a time off `row_tallies` and `geometry_of`."""
+    """The table as formatted one row at a time off `tight_count` and `geometry_of`."""
     lines = []
     for r in coefficients_between(Fraction(start), Fraction(stop), n):
-        tallies = row_tallies(r)
-        count = tallies.count
+        count = tight_count(r)
         row = [str(r), geometry_of(r).value]
         if count.kind is CountKind.INFINITE:
             row += ["infinite", "ut -", "cand -", "stein -"]
@@ -442,9 +440,9 @@ def table_oracle(start: str, stop: str, n: int) -> str:
         else:
             row += [
                 f"finite {count.value}",
-                f"ut {tallies.universally_tight}",
-                f"cand {tallies.candidate_pair}",
-                f"stein {tallies.stein}/{count.value}",
+                f"ut {count.universally_tight}",
+                f"cand {count.candidate_pair}",
+                f"stein {count.stein}/{count.value}",
             ]
         lines.append("  ".join(row) + "\n")
     return "".join(lines)
@@ -546,17 +544,58 @@ def test_a_huge_exponent_is_an_unreadable_argument(capsys, argv):
     assert capsys.readouterr().err.endswith(f" value: '{argv[-1]}' has a decimal exponent beyond ±100000\n")
 
 
-def test_main_reads_and_prints_numbers_past_the_digit_limit():
+def test_main_reads_and_prints_numbers_past_the_digit_limit(capsys):
     # CPython converts at most 4,300 digits between int and str by default.
     # Φ(10^−9000) = 10^9000, and −10^5000 has Φ + Ψ = 1 + (10^5000 − 3).
-    proc = subprocess.run(
-        [sys.executable, "-m", "f8tight", "phi", "1e-9000"], capture_output=True, text=True, env=src_env()
-    )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1" + "0" * 9000 + "\n", "")
-    proc = subprocess.run(
-        [sys.executable, "-m", "f8tight", "count", "-1" + "0" * 5000], capture_output=True, text=True, env=src_env()
-    )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "finite " + "9" * 4999 + "8\n", "")
+    # `run` prints the same where the argument is short enough to read.
+    count = "finite " + "9" * 4999 + "8\n"
+    cases = [(["phi", "1e-9000"], "1" + "0" * 9000 + "\n"), (["count", "-1e5000"], count)]
+    for argv, expected in [*cases, (["count", "-1" + "0" * 5000], count)]:
+        proc = subprocess.run([sys.executable, "-m", "f8tight", *argv], capture_output=True, text=True, env=src_env())
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, "")
+    for argv, expected in cases:
+        assert run_cli(*argv) == (0, expected)
+        assert capsys.readouterr().err == ""
+
+
+class FirstLine(io.StringIO):
+    """A stream that takes one line and then stops the writer, as a reader that has gone would."""
+
+    def write(self, text: str) -> int:
+        super().write(text)
+        if "\n" in self.getvalue():
+            raise BrokenPipeError
+        return len(text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "-1e5000"), ("count", "1e-9000"), ("enumerate", "-1e5000"), ("enumerate", "1e-9000", "--json"),
+        ("phi", "1e-9000"), ("psi", "-1e5000"), ("cfrac", "-1e5000"), ("cfrac", "1e5000", "--form", "st"),
+        ("cfrac", "1e-9000"), ("window", "-1e5000", "--bound", "5"), ("window", "1e5000", "--bound", "5"),
+        ("check-framing", "-1e5000"), ("check-framing", "1e-9000"), ("check-framing", "-1e-9000"),
+        ("bypass-step", "-1e5000", "0"), ("bypass-step", "0", "1e-9000"),
+        ("solid-torus", "--dividing", "-2/5", "--meridian", "-1e5000"),
+        ("solid-torus", "--dividing", "-2/5", "--meridian", "1e-9000"),
+        ("solid-torus", "--dividing", "1e5000", "--meridian", "-2/5"),
+        ("table", "--from", "-1e5000", "--to", "3", "--denominator", "2"),
+    ],
+)
+def test_run_prints_numbers_past_the_digit_limit(capsys, argv):
+    # CPython converts at most 4,300 digits between int and str by default;
+    # `run` lifts that limit while a command runs and restores it after.
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)  # no limit before Python 3.11
+    limit = digit_limit()
+    out = FirstLine()
+    try:
+        code = run(list(argv), out=out)
+    except BrokenPipeError:
+        code = 0
+    assert digit_limit() == limit
+    text = out.getvalue() + capsys.readouterr().err
+    assert code in (0, 3) and "\n" in text
+    assert "Exceeds the limit" not in text
 
 
 def test_usage_errors(capsys):

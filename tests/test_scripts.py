@@ -27,7 +27,7 @@ SCRIPTS = ROOT / "scripts"
 
 PUBLIC_NAMES = """
     AttachSide BypassMove CountKind Form Slope SlopeWindow bypass_step classify coefficients_between
-    enumerate_structures geometry_of neg_cfrac parse_slope phi psi row_tallies slopes_in_window
+    enumerate_structures geometry_of neg_cfrac parse_slope phi psi slopes_in_window
     smooth_framing_check solid_torus_count solid_torus_spec thicken_path tight_count
 """.split()
 
